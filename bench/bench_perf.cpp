@@ -16,12 +16,12 @@
 // contention and verifying admitted results stay bit-identical across
 // shard counts.
 //
-// Plan A/B mode: `bench_perf --plan-ab` pits the compiled-ExecPlan
-// executor against the naive per-call circuit walk on the default
-// benchmark circuits, verifies forward probabilities and adjoint
-// gradients are bit-identical between the two paths, and records the
-// forward/gradient/combined speedups in BENCH_perf.json (exit code 2 if
-// any output diverges).
+// Plan A/B mode: `bench_perf --plan-ab` runs the executor's one
+// production path under scalar and SIMD kernels against the circuit-walk
+// test oracle on the default benchmark circuits, verifies probabilities,
+// losses and adjoint gradients are bit-identical to the oracle, and
+// records the forward/gradient/combined speedups in BENCH_perf.json
+// (exit code 2 if any output diverges).
 
 #include <benchmark/benchmark.h>
 
@@ -62,6 +62,7 @@
 #include "arbiterq/telemetry/trace.hpp"
 #include "arbiterq/transpile/optimize.hpp"
 #include "arbiterq/transpile/transpiler.hpp"
+#include "executor_oracle.hpp"
 
 namespace {
 
@@ -104,18 +105,17 @@ void BM_CompiledNoisyForward(benchmark::State& state) {
 BENCHMARK(BM_CompiledNoisyForward)->DenseRange(2, 10, 2);
 
 void BM_NaiveNoisyForward(benchmark::State& state) {
-  // The per-call circuit walk (ExecPlan disabled) — compare with
+  // The per-call circuit walk (the executor test oracle) — compare with
   // BM_CompiledNoisyForward at the same qubit count for the plan win.
   const int qubits = static_cast<int>(state.range(0));
   const qnn::QnnModel m = model_for(qubits);
-  qnn::ExecutorOptions opts;
-  opts.use_plan = false;
-  const qnn::QnnExecutor ex(m, device::table3_fleet(qubits)[0], opts);
+  const qnn::QnnExecutor ex(m, device::table3_fleet(qubits)[0]);
+  const oracle::ExecutorOracle walk(ex);
   std::vector<double> features(static_cast<std::size_t>(qubits), 0.7);
   std::vector<double> weights(static_cast<std::size_t>(m.num_weights()),
                               0.3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ex.probability(features, weights));
+    benchmark::DoNotOptimize(walk.probability(features, weights));
   }
 }
 BENCHMARK(BM_NaiveNoisyForward)->DenseRange(2, 10, 2);
@@ -408,22 +408,21 @@ int run_scaling_mode(int max_threads, int fleet_size, int epochs,
 }
 
 // ---------------------------------------------------------------------------
-// Plan A/B mode (`--plan-ab`): the kernel A/B matrix. For each benchmark
-// circuit size the compiled-plan executor runs under all four
-// {scalar, SIMD} x {unbatched, batched} arms, plus the naive per-call
-// circuit walk as context, with every output verified bit-identical
-// across arms before the clocks count (default strict-reproducibility
-// arm; exit code 2 on any divergence). Each arm reports the median of
-// `kAbReps` timed repetitions together with its iteration counts, and
-// the headline combined speedup pits SIMD+batched against
-// scalar+unbatched.
+// Plan A/B mode (`--plan-ab`): the production executor path (compiled
+// plan, sample-batched) under its {scalar, SIMD} kernel arms, against
+// the circuit-walk test oracle (tests/executor_oracle.hpp) as the
+// reference arm. Every arm's probabilities, losses and adjoint gradients
+// are verified bit-identical to the oracle before the clocks count
+// (default strict-reproducibility arm; exit code 2 on any divergence).
+// Each arm reports the median of `kAbReps` timed repetitions together
+// with its iteration counts; the headline speedups pit the SIMD arm
+// against the oracle, and the per-circuit kernel speedup SIMD against
+// scalar.
 
 constexpr int kAbReps = 5;
 constexpr int kAbBatch = 8;  ///< samples per dataset call (mini-GEMM width)
 
 struct ArmTiming {
-  bool simd = false;
-  bool batched = false;
   double forward_median_s = 0.0;
   double gradient_median_s = 0.0;
 };
@@ -435,9 +434,9 @@ struct PlanAbPoint {
   std::size_t stream_ops = 0;
   int forward_iters = 0;   ///< dataset_loss calls per rep (x kAbBatch samples)
   int gradient_iters = 0;  ///< loss_gradient calls per rep
-  ArmTiming arms[4];       ///< [simd*2 + batched]
-  double naive_forward_s = 0.0;   // per-call circuit walk, SIMD on
-  double naive_gradient_s = 0.0;
+  ArmTiming scalar;
+  ArmTiming simd;
+  ArmTiming oracle;  ///< circuit walk, SIMD on
   bool identical = true;
 };
 
@@ -446,21 +445,18 @@ double median_of(std::vector<double> xs) {
   return xs[xs.size() / 2];
 }
 
-/// One circuit size: build the naive walker plus planned executors with
-/// the sample-batched forward off/on, check losses and adjoint gradients
-/// bitwise across the naive path and all four kernel arms, then clock
-/// each arm.
+double combined_ratio(const ArmTiming& base, const ArmTiming& arm) {
+  return (base.forward_median_s + base.gradient_median_s) /
+         (arm.forward_median_s + arm.gradient_median_s);
+}
+
+/// One circuit size: check probabilities, losses and adjoint gradients
+/// of both kernel arms bitwise against the oracle, then clock each arm.
 PlanAbPoint measure_plan_ab(int qubits, int forward_iters,
                             int gradient_iters) {
   const qnn::QnnModel m = model_for(qubits);
-  const device::Qpu dev = device::table3_fleet(qubits)[0];
-  qnn::ExecutorOptions naive_opts;
-  naive_opts.use_plan = false;
-  const qnn::QnnExecutor naive(m, dev, naive_opts);
-  qnn::ExecutorOptions unbatched_opts;
-  unbatched_opts.batched_forward = false;
-  const qnn::QnnExecutor plan_unbatched(m, dev, unbatched_opts);
-  const qnn::QnnExecutor plan_batched(m, dev);
+  const qnn::QnnExecutor ex(m, device::table3_fleet(qubits)[0]);
+  const oracle::ExecutorOracle walk(ex);
 
   math::Rng rng(17u + static_cast<std::uint64_t>(qubits));
   std::vector<std::vector<double>> feats;
@@ -478,82 +474,63 @@ PlanAbPoint measure_plan_ab(int qubits, int forward_iters,
   p.qubits = qubits;
   p.forward_iters = forward_iters;
   p.gradient_iters = gradient_iters;
-  if (const sim::ExecPlan* plan = plan_batched.plan()) {
-    p.gates = plan->gate_count();
-    p.fused_gates = plan->fused_gate_count();
-    p.stream_ops = plan->stream_op_count();
-  }
+  p.gates = ex.plan()->gate_count();
+  p.fused_gates = ex.plan()->fused_gate_count();
+  p.stream_ops = ex.plan()->stream_op_count();
 
+  // Bitwise verification of both kernel arms against the oracle (also
+  // warms every workspace pool the clocks touch).
   const bool simd_was = sim::kernels::simd_runtime_enabled();
-  const auto loss_of = [&](const qnn::QnnExecutor& ex) {
-    return ex.dataset_loss(qnn::LossKind::kMse, feats, labels, weights);
+  const auto outputs = [&](const auto& e) {
+    return oracle::outputs_of(e, qnn::LossKind::kMse, feats, labels, weights,
+                              /*with_shift=*/false);
   };
-  const auto grad_of = [&](const qnn::QnnExecutor& ex) {
-    return ex.loss_gradient(qnn::LossKind::kMse, feats, labels, weights);
-  };
-
-  // Bitwise verification across the naive walk and all four kernel arms
-  // (also warms every workspace pool the clocks touch).
   sim::kernels::set_simd_runtime_enabled(false);
-  const double ref_loss = loss_of(naive);
-  const std::vector<double> ref_grad = grad_of(naive);
+  const oracle::Outputs ref = outputs(walk);
   for (bool simd : {false, true}) {
     sim::kernels::set_simd_runtime_enabled(simd);
-    for (const qnn::QnnExecutor* ex : {&plan_unbatched, &plan_batched}) {
-      p.identical &= loss_of(*ex) == ref_loss;
-      p.identical &= grad_of(*ex) == ref_grad;
-      for (const auto& f : feats) {
-        p.identical &=
-            ex->probability(f, weights) == naive.probability(f, weights);
-      }
-    }
+    p.identical &= outputs(ex) == ref;
   }
 
   // Median-of-kAbReps wall clocks per arm.
   double sink = 0.0;
-  const auto clock_arm = [&](const qnn::QnnExecutor& ex, bool simd,
-                             double* fwd, double* grd) {
+  const auto clock_arm = [&](const auto& e, bool simd, ArmTiming* arm) {
     sim::kernels::set_simd_runtime_enabled(simd);
     std::vector<double> fwd_reps, grd_reps;
     for (int rep = 0; rep < kAbReps; ++rep) {
       double t0 = now_seconds();
-      for (int r = 0; r < forward_iters; ++r) sink += loss_of(ex);
+      for (int r = 0; r < forward_iters; ++r) {
+        sink += e.dataset_loss(qnn::LossKind::kMse, feats, labels, weights);
+      }
       fwd_reps.push_back(now_seconds() - t0);
       t0 = now_seconds();
-      for (int r = 0; r < gradient_iters; ++r) sink += grad_of(ex)[0];
+      for (int r = 0; r < gradient_iters; ++r) {
+        sink += e.loss_gradient(qnn::LossKind::kMse, feats, labels,
+                                weights)[0];
+      }
       grd_reps.push_back(now_seconds() - t0);
     }
-    *fwd = median_of(fwd_reps);
-    *grd = median_of(grd_reps);
+    arm->forward_median_s = median_of(fwd_reps);
+    arm->gradient_median_s = median_of(grd_reps);
   };
-  for (int simd = 0; simd < 2; ++simd) {
-    for (int batched = 0; batched < 2; ++batched) {
-      ArmTiming& arm = p.arms[2 * simd + batched];
-      arm.simd = simd != 0;
-      arm.batched = batched != 0;
-      clock_arm(batched ? plan_batched : plan_unbatched, arm.simd,
-                &arm.forward_median_s, &arm.gradient_median_s);
-    }
-  }
-  clock_arm(naive, true, &p.naive_forward_s, &p.naive_gradient_s);
+  clock_arm(ex, false, &p.scalar);
+  clock_arm(ex, true, &p.simd);
+  clock_arm(walk, true, &p.oracle);
   sim::kernels::set_simd_runtime_enabled(simd_was);
   benchmark::DoNotOptimize(sink);
 
-  const ArmTiming& base = p.arms[0];  // scalar + unbatched
-  const ArmTiming& best = p.arms[3];  // SIMD + batched
-  std::printf("  plan-ab q=%d  forward %.2fx  gradient %.2fx  combined "
-              "%.2fx  identical=%s\n",
-              qubits, base.forward_median_s / best.forward_median_s,
-              base.gradient_median_s / best.gradient_median_s,
-              (base.forward_median_s + base.gradient_median_s) /
-                  (best.forward_median_s + best.gradient_median_s),
-              p.identical ? "yes" : "NO");
+  std::printf("  plan-ab q=%d  vs oracle: forward %.2fx  gradient %.2fx  "
+              "combined %.2fx | simd vs scalar %.2fx  identical=%s\n",
+              qubits, p.oracle.forward_median_s / p.simd.forward_median_s,
+              p.oracle.gradient_median_s / p.simd.gradient_median_s,
+              combined_ratio(p.oracle, p.simd),
+              combined_ratio(p.scalar, p.simd), p.identical ? "yes" : "NO");
   return p;
 }
 
 int run_plan_ab_mode(const std::string& out_path) {
-  std::printf("plan A/B mode: kernel matrix scalar/SIMD x "
-              "unbatched/batched (arch %s, strict=%s)\n",
+  std::printf("plan A/B mode: production path scalar/SIMD vs circuit-walk "
+              "oracle (arch %s, strict=%s)\n",
               sim::kernels::arch_name(sim::kernels::active_arch()),
               sim::kernels::strict_reproducibility() ? "on" : "off");
   // The default set mirrors the training workloads the plan accelerates:
@@ -570,25 +547,21 @@ int run_plan_ab_mode(const std::string& out_path) {
   // each circuit counts once (the standard suite metric); a total-time
   // ratio would just re-measure the largest register, whose per-call
   // cost dwarfs the smallest.
-  double log_fwd = 0.0, log_grad = 0.0, log_combined = 0.0;
-  double combined_6q = 0.0;
+  double log_fwd = 0.0, log_grad = 0.0, log_combined = 0.0, log_simd = 0.0;
   bool identical = true;
   for (const auto& p : points) {
-    const ArmTiming& base = p.arms[0];
-    const ArmTiming& best = p.arms[3];
-    log_fwd += std::log(base.forward_median_s / best.forward_median_s);
-    log_grad += std::log(base.gradient_median_s / best.gradient_median_s);
-    const double combined =
-        (base.forward_median_s + base.gradient_median_s) /
-        (best.forward_median_s + best.gradient_median_s);
-    log_combined += std::log(combined);
-    if (p.qubits == 6) combined_6q = combined;
+    log_fwd += std::log(p.oracle.forward_median_s / p.simd.forward_median_s);
+    log_grad +=
+        std::log(p.oracle.gradient_median_s / p.simd.gradient_median_s);
+    log_combined += std::log(combined_ratio(p.oracle, p.simd));
+    log_simd += std::log(combined_ratio(p.scalar, p.simd));
     identical &= p.identical;
   }
   const double n = static_cast<double>(points.size());
   const double forward_speedup = std::exp(log_fwd / n);
   const double gradient_speedup = std::exp(log_grad / n);
   const double combined_speedup = std::exp(log_combined / n);
+  const double simd_speedup = std::exp(log_simd / n);
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
@@ -602,8 +575,8 @@ int run_plan_ab_mode(const std::string& out_path) {
   std::fprintf(f, "  \"strict_reproducibility\": %s,\n",
                sim::kernels::strict_reproducibility() ? "true" : "false");
   std::fprintf(f,
-               "  \"baseline_arm\": \"scalar unbatched plan\", "
-               "\"speedup_arm\": \"simd batched plan\",\n");
+               "  \"baseline_arm\": \"circuit-walk oracle\", "
+               "\"speedup_arm\": \"simd plan\",\n");
   std::fprintf(f,
                "  \"timing\": \"median of %d reps per arm; iterations "
                "are calls per rep, forward calls cover %d samples "
@@ -613,51 +586,46 @@ int run_plan_ab_mode(const std::string& out_path) {
   std::fprintf(f, "  \"forward_speedup\": %.4f,\n", forward_speedup);
   std::fprintf(f, "  \"gradient_speedup\": %.4f,\n", gradient_speedup);
   std::fprintf(f, "  \"combined_speedup\": %.4f,\n", combined_speedup);
-  std::fprintf(f, "  \"combined_speedup_6q\": %.4f,\n", combined_6q);
-  std::fprintf(f, "  \"target_combined_speedup_6q\": 3.0,\n");
+  std::fprintf(f, "  \"simd_vs_scalar_combined_speedup\": %.4f,\n",
+               simd_speedup);
   std::fprintf(f, "  \"circuits\": [");
+  const auto write_arm = [f](const char* name, const ArmTiming& arm,
+                             const char* sep) {
+    std::fprintf(f,
+                 "\"%s\": {\"forward_median_seconds\": %.6f, "
+                 "\"gradient_median_seconds\": %.6f}%s",
+                 name, arm.forward_median_s, arm.gradient_median_s, sep);
+  };
   for (std::size_t i = 0; i < points.size(); ++i) {
     const PlanAbPoint& p = points[i];
-    const ArmTiming& base = p.arms[0];
-    const ArmTiming& best = p.arms[3];
     std::fprintf(
         f,
         "%s\n    {\"qubits\": %d, \"layers\": 2, \"gates\": %zu, "
         "\"fused_gates\": %zu, \"stream_ops\": %zu, \"batch\": %d, "
         "\"reps\": %d, \"forward_iterations\": %d, "
-        "\"gradient_iterations\": %d,\n     \"arms\": [",
+        "\"gradient_iterations\": %d,\n     ",
         i ? "," : "", p.qubits, p.gates, p.fused_gates, p.stream_ops,
         kAbBatch, kAbReps, p.forward_iters, p.gradient_iters);
-    for (int a = 0; a < 4; ++a) {
-      const ArmTiming& arm = p.arms[a];
-      std::fprintf(f,
-                   "%s\n      {\"kernels\": \"%s\", \"batched\": %s, "
-                   "\"forward_median_seconds\": %.6f, "
-                   "\"gradient_median_seconds\": %.6f}",
-                   a ? "," : "", arm.simd ? "simd" : "scalar",
-                   arm.batched ? "true" : "false", arm.forward_median_s,
-                   arm.gradient_median_s);
-    }
+    write_arm("scalar", p.scalar, ", ");
+    write_arm("simd", p.simd, ",\n     ");
+    write_arm("oracle", p.oracle, ",\n     ");
     std::fprintf(
         f,
-        "],\n     \"naive\": {\"forward_median_seconds\": %.6f, "
-        "\"gradient_median_seconds\": %.6f},\n"
-        "     \"forward_speedup\": %.4f, \"gradient_speedup\": %.4f, "
-        "\"combined_speedup\": %.4f, \"identical\": %s}",
-        p.naive_forward_s, p.naive_gradient_s,
-        base.forward_median_s / best.forward_median_s,
-        base.gradient_median_s / best.gradient_median_s,
-        (base.forward_median_s + base.gradient_median_s) /
-            (best.forward_median_s + best.gradient_median_s),
+        "\"forward_speedup\": %.4f, \"gradient_speedup\": %.4f, "
+        "\"combined_speedup\": %.4f, \"simd_vs_scalar\": %.4f, "
+        "\"identical\": %s}",
+        p.oracle.forward_median_s / p.simd.forward_median_s,
+        p.oracle.gradient_median_s / p.simd.gradient_median_s,
+        combined_ratio(p.oracle, p.simd), combined_ratio(p.scalar, p.simd),
         p.identical ? "true" : "false");
   }
   std::fprintf(f, "\n  ]\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
-  std::printf("forward %.2fx  gradient %.2fx  combined %.2fx (geomean; "
-              "6q combined %.2fx)  identical=%s\n",
+  std::printf("vs oracle: forward %.2fx  gradient %.2fx  combined %.2fx | "
+              "simd vs scalar %.2fx (geomean)  identical=%s\n",
               forward_speedup, gradient_speedup, combined_speedup,
-              combined_6q, identical ? "yes" : "NO");
+              simd_speedup, identical ? "yes" : "NO");
   return identical ? 0 : 2;
 }
 
@@ -1986,9 +1954,8 @@ int main(int argc, char** argv) {
       plan_ab = true;
     } else if (flag == "--no-simd") {
       // Force the portable scalar kernels for every mode (same effect
-      // as ARBITERQ_SIMD=OFF). --plan-ab still clocks its scalar arms
-      // but dispatches SIMD arms to scalar, so the matrix degenerates
-      // to a batched-vs-unbatched comparison.
+      // as ARBITERQ_SIMD=OFF). --plan-ab flips the switch per arm
+      // itself, so it still clocks both kernel arms.
       arbiterq::sim::kernels::set_simd_runtime_enabled(false);
     } else if (flag == "--telemetry-ab") {
       telemetry_ab = true;

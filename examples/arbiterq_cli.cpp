@@ -8,12 +8,16 @@
 // Run with --help for the full flag list.
 
 #include <atomic>
+#include <cerrno>
 #include <cmath>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -162,6 +166,37 @@ void usage() {
       "              text exposition format\n");
 }
 
+[[noreturn]] void bad_value(const std::string& flag, const char* v) {
+  throw std::invalid_argument(flag + ": bad value '" + v + "'");
+}
+
+/// Whole-string base-10 integer, or std::invalid_argument.
+long long integer_value(const std::string& flag, const char* v) {
+  char* end = nullptr;
+  errno = 0;
+  const long long x = std::strtoll(v, &end, 10);
+  if (end == v || *end != '\0' || errno == ERANGE) bad_value(flag, v);
+  return x;
+}
+
+int int_value(const std::string& flag, const char* v) {
+  const long long x = integer_value(flag, v);
+  if (x < std::numeric_limits<int>::min() ||
+      x > std::numeric_limits<int>::max()) {
+    bad_value(flag, v);
+  }
+  return static_cast<int>(x);
+}
+
+/// Whole-string finite number, or std::invalid_argument: "nan" and
+/// "inf" never reach the arithmetic.
+double double_value(const std::string& flag, const char* v) {
+  char* end = nullptr;
+  const double x = std::strtod(v, &end);
+  if (end == v || *end != '\0' || !std::isfinite(x)) bad_value(flag, v);
+  return x;
+}
+
 bool parse(int argc, char** argv, CliOptions* opts) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -178,21 +213,21 @@ bool parse(int argc, char** argv, CliOptions* opts) {
     } else if (flag == "--faults") {
       if (const char* v = next()) opts->faults = v;
     } else if (flag == "--jobs") {
-      if (const char* v = next()) opts->jobs = std::atoi(v);
+      if (const char* v = next()) opts->jobs = int_value(flag, v);
     } else if (flag == "--deadline-us") {
-      if (const char* v = next()) opts->deadline_us = std::atof(v);
+      if (const char* v = next()) opts->deadline_us = double_value(flag, v);
     } else if (flag == "--queue-cap") {
-      if (const char* v = next()) opts->queue_cap = std::atoi(v);
+      if (const char* v = next()) opts->queue_cap = int_value(flag, v);
     } else if (flag == "--shards") {
-      if (const char* v = next()) opts->shards = std::atoi(v);
+      if (const char* v = next()) opts->shards = int_value(flag, v);
     } else if (flag == "--shard-workers") {
-      if (const char* v = next()) opts->shard_workers = std::atoi(v);
+      if (const char* v = next()) opts->shard_workers = int_value(flag, v);
     } else if (flag == "--listen") {
-      if (const char* v = next()) opts->listen = std::atoi(v);
+      if (const char* v = next()) opts->listen = int_value(flag, v);
     } else if (flag == "--watch") {
       opts->watch = true;
     } else if (flag == "--trace-sample") {
-      if (const char* v = next()) opts->trace_sample = std::atoi(v);
+      if (const char* v = next()) opts->trace_sample = int_value(flag, v);
     } else if (flag == "--arbiter") {
       if (const char* v = next()) opts->arbiter = v;
     } else if (flag == "--tenants") {
@@ -204,7 +239,7 @@ bool parse(int argc, char** argv, CliOptions* opts) {
     } else if (flag == "--flight-out") {
       if (const char* v = next()) opts->flight_out = v;
     } else if (flag == "--linger-ms") {
-      if (const char* v = next()) opts->linger_ms = std::atoi(v);
+      if (const char* v = next()) opts->linger_ms = int_value(flag, v);
     } else if (flag == "--dataset") {
       if (const char* v = next()) opts->dataset = v;
     } else if (flag == "--backbone") {
@@ -212,23 +247,23 @@ bool parse(int argc, char** argv, CliOptions* opts) {
     } else if (flag == "--strategy") {
       if (const char* v = next()) opts->strategy = v;
     } else if (flag == "--fleet") {
-      if (const char* v = next()) opts->fleet = std::atoi(v);
+      if (const char* v = next()) opts->fleet = int_value(flag, v);
     } else if (flag == "--epochs") {
-      if (const char* v = next()) opts->epochs = std::atoi(v);
+      if (const char* v = next()) opts->epochs = int_value(flag, v);
     } else if (flag == "--lr") {
-      if (const char* v = next()) opts->lr = std::atof(v);
+      if (const char* v = next()) opts->lr = double_value(flag, v);
     } else if (flag == "--batch") {
-      if (const char* v = next()) opts->batch = std::atoi(v);
+      if (const char* v = next()) opts->batch = int_value(flag, v);
     } else if (flag == "--kappa") {
-      if (const char* v = next()) opts->kappa = std::atof(v);
+      if (const char* v = next()) opts->kappa = double_value(flag, v);
     } else if (flag == "--threshold") {
-      if (const char* v = next()) opts->threshold = std::atof(v);
+      if (const char* v = next()) opts->threshold = double_value(flag, v);
     } else if (flag == "--seed") {
       if (const char* v = next()) {
-        opts->seed = static_cast<std::uint64_t>(std::atoll(v));
+        opts->seed = static_cast<std::uint64_t>(integer_value(flag, v));
       }
     } else if (flag == "--threads") {
-      if (const char* v = next()) opts->threads = std::atoi(v);
+      if (const char* v = next()) opts->threads = int_value(flag, v);
     } else if (flag == "--no-simd") {
       sim::kernels::set_simd_runtime_enabled(false);
     } else if (flag == "--csv") {
@@ -338,9 +373,7 @@ void render_watch_frame(const serve::ServingRuntime& runtime,
   std::fflush(stdout);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliOptions opts;
   if (!parse(argc, argv, &opts)) {
     usage();
@@ -725,4 +758,17 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", opts.prom_out.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Bad input (a non-numeric flag value, an impossible fleet or batch
+  // size, an unwritable output path) exits 2 with the reason on stderr.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "arbiterq_cli: %s\n", e.what());
+    return 2;
+  }
 }

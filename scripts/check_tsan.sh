@@ -5,10 +5,11 @@
 # (including the SIMD dispatch state and the sample-batched register),
 # the distributed trainers, the fleet serving runtime (sharded
 # queues, mailbox lanes, workers, retry re-routing, per-lane tenant
-# arbiters and quota accounting), the open-loop traffic generator, and
-# the telemetry time-series layer (Collector thread sampling
-# concurrently with per-series writers, watchdog polls). Guards data-race
-# freedom — the determinism
+# arbiters and quota accounting), the open-loop traffic generator, the
+# telemetry time-series layer (Collector thread sampling concurrently
+# with per-series writers, watchdog polls), the scrape endpoint's
+# accept thread, the SLO engine, the flight recorder and the fleet
+# health monitor. Guards data-race freedom — the determinism
 # contracts in arbiterq/exec/parallel.hpp and arbiterq/serve/runtime.hpp
 # are only meaningful if the disjoint-write claims actually hold under
 # TSan.
@@ -27,7 +28,8 @@ cmake -B "${build_dir}" -S "${repo_root}" \
 
 targets=(test_exec test_parallel_equivalence test_statevector test_kernels
   test_batched test_trainers test_serve test_shard test_arbiter
-  test_trafficgen test_timeseries test_watchdog)
+  test_trafficgen test_timeseries test_watchdog test_scrape test_slo
+  test_flight test_monitor)
 cmake --build "${build_dir}" -j "$(nproc)" --target "${targets[@]}"
 
 # Force the parallel code paths even on single-core CI hosts.

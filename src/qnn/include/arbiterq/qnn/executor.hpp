@@ -13,6 +13,13 @@
 //  * loss_gradient()        — adjoint differentiation, O(#gates);
 //  * loss_gradient_shift()  — exact parameter-shift rules (§III-B),
 //    the method real hardware would run; validated against the adjoint.
+//
+// Everything executes one way: through a compiled sim::ExecPlan, with
+// multi-sample work (dataset losses, adjoint gradients, trajectory
+// sampling) sample-batched kBatchBlock columns per register sweep.
+// Single-sample probability() runs the unbatched plan. The per-call
+// circuit walk survives only as the test oracle
+// (tests/executor_oracle.hpp), which every output matches bit-for-bit.
 
 #include <memory>
 #include <vector>
@@ -43,19 +50,12 @@ struct ExecutorOptions {
   /// losses and gradients are bit-identical to the serial schedule for
   /// every thread count. Default: serial.
   exec::ExecPolicy exec = {};
-  /// Execute through a compiled ExecPlan (static gates pre-fused, bind
-  /// recomputes only parameter-dependent matrices, statevectors reused
-  /// from a workspace pool). Bit-identical to the naive path; the plan
-  /// is rebuilt whenever recalibrate() swaps the noise model. Disable to
-  /// A/B against the per-call circuit walk.
+  /// Pinned to true: the QnnExecutor constructor throws
+  /// std::invalid_argument if either is false. Execution always runs the
+  /// compiled plan with the sample-batched forward; the fields remain
+  /// only because existing callers aggregate-initialise all four
+  /// positions of this struct, and are slated for deletion.
   bool use_plan = true;
-  /// Route multi-sample plan work through the sample-batched forward
-  /// (sim/batched.hpp): dataset losses and adjoint gradients evaluate
-  /// kBatchBlock samples per register sweep, and sampled_probability
-  /// evolves trajectory blocks through one BatchedStatevector. Under
-  /// strict reproducibility results are bit-identical to the unbatched
-  /// plan path (the trajectory sampler has its own — batch-invariant —
-  /// RNG schedule). No effect when use_plan is false.
   bool batched_forward = true;
 };
 
@@ -77,8 +77,8 @@ class QnnExecutor {
   /// Circuit survival probability under the device's stochastic errors.
   double survival() const noexcept { return survival_; }
 
-  /// The compiled execution plan, or nullptr when options().use_plan is
-  /// false. Rebuilt by recalibrate().
+  /// The compiled execution plan; never null. recalibrate() replaces it
+  /// with a plan compiled against the drifted noise model.
   const sim::ExecPlan* plan() const noexcept { return plan_.get(); }
 
   /// Temporal calibration drift (paper §II-B, "spatial and temporal"
@@ -123,17 +123,19 @@ class QnnExecutor {
   double shot_rate() const;
 
  private:
-  double readout_contract(double p_one) const;
   /// (Re)compile the plan against the simulator's current noise model.
   void rebuild_plan();
-  /// Batched forward over samples [lo, hi): packs each sample's params
-  /// into `ws`, runs the plan's sample-batched expectation in
-  /// kBatchBlock blocks and writes P(readout = 1) — mitigation and
-  /// readout contraction applied — to out[i - lo]. Requires plan_.
-  void batched_probabilities(const std::vector<std::vector<double>>& features,
-                             const std::vector<double>& weights,
-                             std::size_t lo, std::size_t hi,
-                             sim::BatchedWorkspace& ws, double* out) const;
+  /// P(readout = 1) from a plan's <Z>: mitigation rescale, then the
+  /// readout-error contraction.
+  double probability_from_z(double z) const;
+  /// Batched forward over samples [b0, b0 + count), count <=
+  /// kBatchBlock: packs each sample's params into ws.params (one column
+  /// per sample at stride num_params) and writes P(readout = 1) to
+  /// out[0..count). The packed block stays in ws.params for the adjoint.
+  void forward_block(const std::vector<std::vector<double>>& features,
+                     const std::vector<double>& weights, std::size_t b0,
+                     std::size_t count, sim::BatchedWorkspace& ws,
+                     double* out) const;
 
   QnnModel model_;
   device::Qpu qpu_;
@@ -151,7 +153,7 @@ class QnnExecutor {
   /// bound matrices, packed params). Mutable: forward/gradient methods
   /// are logically const. Copies start with a fresh pool.
   mutable sim::WorkspacePool workspaces_;
-  /// Pool of sample-batched scratch for the batched_forward paths.
+  /// Pool of sample-batched scratch for the multi-sample paths.
   mutable sim::BatchedWorkspacePool batched_workspaces_;
 };
 

@@ -106,9 +106,6 @@ struct ServeConfig {
   /// real (capped by backoff_max_us) on the worker.
   double backoff_base_us = 50.0;
   double backoff_max_us = 5000.0;
-  /// Tori per partition; 0 = core::default_torus_count of the
-  /// surviving fleet.
-  int num_tori = 0;
   std::uint64_t seed = 99;
   /// Spawn the workers in the constructor. Disable to stage a
   /// backpressure scenario (submit before start()).

@@ -152,8 +152,7 @@ ServingRuntime::ServingRuntime(
   // races with lazy construction elsewhere.
   std::vector<int> all(executors_.size());
   for (std::size_t q = 0; q < all.size(); ++q) all[q] = static_cast<int>(q);
-  partitions_.push_back(core::repartition_alive(behavioral_, weights_, all,
-                                                config_.num_tori));
+  partitions_.push_back(core::repartition_alive(behavioral_, weights_, all));
   torus_rate_.emplace_back();
   credit_.emplace_back();
   std::size_t members0 = 0;

@@ -18,7 +18,9 @@
 //
 // Two entry points: the naive path re-walks the circuit per call; the
 // ExecPlan path reuses precompiled matrices and workspace registers and
-// is bit-identical to it (tests/test_exec_plan.cpp).
+// is bit-identical to it (tests/test_exec_plan.cpp). Production
+// (qnn::QnnExecutor) runs the plan path; the circuit-walking overloads
+// are its reference oracle (tests/executor_oracle.hpp).
 
 #include <span>
 #include <vector>
@@ -29,7 +31,8 @@
 
 namespace arbiterq::sim {
 
-/// Gradient of <Z_qubit> with respect to params[0..num_params). When
+/// Reference oracle: gradient of <Z_qubit> with respect to
+/// params[0..num_params), re-walking the circuit per call. When
 /// `noise` is non-null, rotation angles are biased and the result is
 /// scaled by the circuit's survival probability — the derivative of the
 /// exact-mode noisy expectation.

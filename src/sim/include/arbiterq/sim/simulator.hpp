@@ -99,6 +99,10 @@ class StatevectorSimulator {
   /// the single-qubit marginal: O(1) memory per shot instead of
   /// sample_counts' 2^n histogram (1 GiB of counters at the 26-qubit
   /// cap). Readout error is applied to the target qubit only.
+  ///
+  /// This circuit-walking sampler and its sampled_probability_of_one
+  /// twin are the reference oracle for the plan-based sampler below
+  /// (tests/test_batched.cpp); production sampling runs the plan.
   std::uint64_t sample_marginal_ones(const circuit::Circuit& c,
                                      std::span<const double> params, int qubit,
                                      const ShotOptions& opts,

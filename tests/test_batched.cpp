@@ -3,8 +3,8 @@
 // strict-reproducibility arm, for batch sizes 1 / 2 / odd / wider than
 // kBatchBlock), the plan-based trajectory-batched sampler (same-seed
 // determinism, noiseless bitwise agreement with the circuit-walking
-// sampler, statistical agreement under noise), executor-level
-// batched-on/off equivalence, and trainer plumbing.
+// sampler, statistical agreement under noise), and executor-level
+// equivalence with the circuit-walk oracle (tests/executor_oracle.hpp).
 
 #include "arbiterq/sim/batched.hpp"
 
@@ -16,7 +16,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "arbiterq/core/trainers.hpp"
 #include "arbiterq/data/pipeline.hpp"
 #include "arbiterq/device/presets.hpp"
 #include "arbiterq/math/rng.hpp"
@@ -25,6 +24,7 @@
 #include "arbiterq/sim/adjoint.hpp"
 #include "arbiterq/sim/exec_plan.hpp"
 #include "arbiterq/sim/simulator.hpp"
+#include "executor_oracle.hpp"
 
 namespace arbiterq::sim {
 namespace {
@@ -321,11 +321,10 @@ class BatchedExecutor : public ::testing::Test {
     for (double& w : weights_) w = rng.uniform(-1.0, 1.0);
   }
 
-  qnn::QnnExecutor make(bool batched, bool mitigate = false) const {
+  qnn::QnnExecutor make(bool mitigate = false, int threads = 1) const {
     qnn::ExecutorOptions opts;
-    opts.use_plan = true;
-    opts.batched_forward = batched;
     opts.mitigate_depolarizing = mitigate;
+    opts.exec.num_threads = threads;
     return qnn::QnnExecutor(model_, device::table3_fleet_subset(1, 2)[0],
                             opts);
   }
@@ -335,24 +334,29 @@ class BatchedExecutor : public ::testing::Test {
   std::vector<double> weights_;
 };
 
-TEST_F(BatchedExecutor, LossAndGradientMatchUnbatchedBitwise) {
+TEST_F(BatchedExecutor, LossAndGradientMatchOracleBitwise) {
+  // Sample blocks of kBatchBlock columns (the train split spans several,
+  // the last one partial) against the serial per-sample circuit walk.
   for (const bool mitigate : {false, true}) {
-    const qnn::QnnExecutor unbatched = make(false, mitigate);
-    const qnn::QnnExecutor batched = make(true, mitigate);
-    EXPECT_EQ(batched.dataset_loss(qnn::LossKind::kMse, split_.test_features,
-                                   split_.test_labels, weights_),
-              unbatched.dataset_loss(qnn::LossKind::kMse, split_.test_features,
-                                     split_.test_labels, weights_));
-    EXPECT_EQ(
-        batched.loss_gradient(qnn::LossKind::kMse, split_.train_features,
-                              split_.train_labels, weights_),
-        unbatched.loss_gradient(qnn::LossKind::kMse, split_.train_features,
-                                split_.train_labels, weights_));
+    for (const int t : {1, 2, 8}) {
+      const qnn::QnnExecutor ex = make(mitigate, t);
+      const oracle::ExecutorOracle walk(ex);
+      EXPECT_EQ(ex.dataset_loss(qnn::LossKind::kMse, split_.train_features,
+                                split_.train_labels, weights_),
+                walk.dataset_loss(qnn::LossKind::kMse, split_.train_features,
+                                  split_.train_labels, weights_))
+          << "mitigate=" << mitigate << " threads=" << t;
+      EXPECT_EQ(ex.loss_gradient(qnn::LossKind::kMse, split_.train_features,
+                                 split_.train_labels, weights_),
+                walk.loss_gradient(qnn::LossKind::kMse, split_.train_features,
+                                   split_.train_labels, weights_))
+          << "mitigate=" << mitigate << " threads=" << t;
+    }
   }
 }
 
 TEST_F(BatchedExecutor, SampledProbabilityDeterministicAndCalibrated) {
-  const qnn::QnnExecutor ex = make(true);
+  const qnn::QnnExecutor ex = make();
   const auto& f = split_.test_features.front();
   math::Rng a(5);
   math::Rng b(5);
@@ -361,25 +365,6 @@ TEST_F(BatchedExecutor, SampledProbabilityDeterministicAndCalibrated) {
   EXPECT_EQ(pa, pb);
   // The sampled estimate tracks the exact forward within shot noise.
   EXPECT_NEAR(pa, ex.probability(f, weights_), 0.05);
-}
-
-TEST_F(BatchedExecutor, TrainerConfigRoutesThroughBatchedForward) {
-  core::TrainConfig cfg;
-  cfg.epochs = 2;
-  cfg.gradient_shot_noise = 0.0;
-  core::TrainConfig cfg_off = cfg;
-  cfg_off.batched_forward = false;
-  const core::DistributedTrainer on(model_, device::table3_fleet_subset(2, 2),
-                                    cfg);
-  const core::DistributedTrainer off(model_,
-                                     device::table3_fleet_subset(2, 2),
-                                     cfg_off);
-  EXPECT_TRUE(on.executors().front().options().batched_forward);
-  EXPECT_FALSE(off.executors().front().options().batched_forward);
-  const auto ra = on.train(core::Strategy::kArbiterQ, split_);
-  const auto rb = off.train(core::Strategy::kArbiterQ, split_);
-  EXPECT_EQ(ra.epoch_test_loss, rb.epoch_test_loss);
-  EXPECT_EQ(ra.weights, rb.weights);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Compiled execution plans: bit-identity against the naive per-call
 // path across the full gate set (noise on/off), plan-based adjoint vs
-// the circuit-walking adjoint, executor-level plan on/off equivalence,
-// plan invalidation on recalibrate, marginal sampling, and the
+// the circuit-walking adjoint, executor outputs vs the circuit-walk
+// oracle (tests/executor_oracle.hpp), plan invalidation on recalibrate
+// and copy-then-recalibrate, marginal sampling, and the
 // zero-allocation steady-state contract (checked with a counting global
 // operator new).
 
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <stdexcept>
 #include <vector>
 
 #include "arbiterq/data/pipeline.hpp"
@@ -23,6 +25,7 @@
 #include "arbiterq/qnn/model.hpp"
 #include "arbiterq/sim/adjoint.hpp"
 #include "arbiterq/sim/simulator.hpp"
+#include "executor_oracle.hpp"
 
 // ---------------------------------------------------------------------------
 // Counting allocator: every default-aligned heap allocation in this
@@ -338,12 +341,18 @@ class ExecutorPlan : public ::testing::Test {
     for (double& w : weights_) w = rng.uniform(-1.0, 1.0);
   }
 
-  qnn::QnnExecutor make(bool use_plan, bool mitigate = false) const {
+  qnn::QnnExecutor make(bool mitigate, int threads = 1) const {
     qnn::ExecutorOptions opts;
-    opts.use_plan = use_plan;
     opts.mitigate_depolarizing = mitigate;
+    opts.exec.num_threads = threads;
     return qnn::QnnExecutor(model_, device::table3_fleet_subset(1, 2)[0],
                             opts);
+  }
+
+  template <class Executor>
+  oracle::Outputs outputs(const Executor& e) const {
+    return oracle::outputs_of(e, qnn::LossKind::kMse, split_.train_features,
+                              split_.train_labels, weights_);
   }
 
   qnn::QnnModel model_;
@@ -351,53 +360,79 @@ class ExecutorPlan : public ::testing::Test {
   std::vector<double> weights_;
 };
 
-TEST_F(ExecutorPlan, ForwardAndGradientsMatchNaiveExecutor) {
+TEST_F(ExecutorPlan, ForwardAndGradientsMatchOracle) {
   for (const bool mitigate : {false, true}) {
-    const qnn::QnnExecutor naive = make(false, mitigate);
-    const qnn::QnnExecutor planned = make(true, mitigate);
-    EXPECT_EQ(naive.plan(), nullptr);
-    ASSERT_NE(planned.plan(), nullptr);
-    EXPECT_EQ(planned.survival(), naive.survival());
-    for (const auto& f : split_.test_features) {
-      EXPECT_EQ(planned.probability(f, weights_), naive.probability(f, weights_));
+    for (const int t : {1, 2, 8}) {
+      const qnn::QnnExecutor ex = make(mitigate, t);
+      ASSERT_NE(ex.plan(), nullptr);
+      EXPECT_EQ(outputs(ex), outputs(oracle::ExecutorOracle(ex)))
+          << "mitigate=" << mitigate << " threads=" << t;
     }
-    EXPECT_EQ(planned.dataset_loss(qnn::LossKind::kMse, split_.test_features,
-                                   split_.test_labels, weights_),
-              naive.dataset_loss(qnn::LossKind::kMse, split_.test_features,
-                                 split_.test_labels, weights_));
-    EXPECT_EQ(planned.loss_gradient(qnn::LossKind::kMse,
-                                    split_.train_features,
-                                    split_.train_labels, weights_),
-              naive.loss_gradient(qnn::LossKind::kMse, split_.train_features,
-                                  split_.train_labels, weights_));
-    EXPECT_EQ(planned.loss_gradient_shift(qnn::LossKind::kMse,
-                                          split_.train_features,
-                                          split_.train_labels, weights_),
-              naive.loss_gradient_shift(qnn::LossKind::kMse,
-                                        split_.train_features,
-                                        split_.train_labels, weights_));
   }
 }
 
 TEST_F(ExecutorPlan, RecalibrateInvalidatesAndRebuildsPlan) {
-  qnn::QnnExecutor naive = make(false);
-  qnn::QnnExecutor planned = make(true);
-  const sim::ExecPlan* before = planned.plan();
-  ASSERT_NE(before, nullptr);
-  const auto& f = split_.test_features.front();
-  const double p_before = planned.probability(f, weights_);
+  for (const bool mitigate : {false, true}) {
+    for (const int t : {1, 2, 8}) {
+      qnn::QnnExecutor ex = make(mitigate, t);
+      const sim::ExecPlan* before = ex.plan();
+      const auto& f = split_.test_features.front();
+      const double p_before = ex.probability(f, weights_);
+      const oracle::ExecutorOracle stale(ex);
 
-  math::Rng rng_a(99);
-  math::Rng rng_b(99);
-  naive.recalibrate(0.2, rng_a);
-  planned.recalibrate(0.2, rng_b);
+      math::Rng rng(99);
+      ex.recalibrate(0.2, rng);
 
-  // A fresh plan compiled against the drifted noise model...
-  EXPECT_NE(planned.plan(), before);
-  // ...that still tracks the naive path bit-for-bit...
-  EXPECT_EQ(planned.probability(f, weights_), naive.probability(f, weights_));
-  // ...and actually reflects the drift (a stale plan would not).
-  EXPECT_NE(planned.probability(f, weights_), p_before);
+      // A fresh plan compiled against the drifted noise model...
+      ASSERT_NE(ex.plan(), nullptr);
+      EXPECT_NE(ex.plan(), before);
+      // ...that still tracks the circuit walk bit-for-bit...
+      EXPECT_EQ(outputs(ex), outputs(oracle::ExecutorOracle(ex)))
+          << "mitigate=" << mitigate << " threads=" << t;
+      // ...and actually reflects the drift (a stale plan would not).
+      EXPECT_NE(ex.probability(f, weights_), p_before);
+      EXPECT_THROW(stale.probability(f, weights_), std::logic_error);
+    }
+  }
+}
+
+TEST_F(ExecutorPlan, CopyThenRecalibrateLeavesSourceUntouched) {
+  // The drift path copies executors and recalibrates the copies: copies
+  // share the source's plan until one of them recalibrates, and that
+  // must neither disturb the source nor leave the copy on a stale plan.
+  for (const bool mitigate : {false, true}) {
+    for (const int t : {1, 2, 8}) {
+      const qnn::QnnExecutor source = make(mitigate, t);
+      const sim::ExecPlan* source_plan = source.plan();
+      const oracle::Outputs source_before = outputs(source);
+
+      qnn::QnnExecutor copy = source;
+      EXPECT_EQ(copy.plan(), source_plan);
+      math::Rng rng(99);
+      copy.recalibrate(0.2, rng);
+
+      EXPECT_EQ(source.plan(), source_plan);
+      EXPECT_NE(copy.plan(), source_plan);
+      EXPECT_EQ(outputs(source), source_before)
+          << "mitigate=" << mitigate << " threads=" << t;
+      const oracle::Outputs drifted = outputs(copy);
+      EXPECT_EQ(drifted, outputs(oracle::ExecutorOracle(copy)))
+          << "mitigate=" << mitigate << " threads=" << t;
+      EXPECT_NE(drifted.loss, source_before.loss);
+    }
+  }
+}
+
+TEST_F(ExecutorPlan, UnpinnedExecutionOptionsThrow) {
+  const device::Qpu qpu = device::table3_fleet_subset(1, 2)[0];
+  qnn::ExecutorOptions no_plan;
+  no_plan.use_plan = false;
+  EXPECT_THROW((void)qnn::QnnExecutor(model_, qpu, no_plan),
+               std::invalid_argument);
+  qnn::ExecutorOptions unbatched;
+  unbatched.batched_forward = false;
+  EXPECT_THROW((void)qnn::QnnExecutor(model_, qpu, unbatched),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

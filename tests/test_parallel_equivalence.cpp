@@ -20,6 +20,7 @@
 #include "arbiterq/qnn/gradient.hpp"
 #include "arbiterq/qnn/model.hpp"
 #include "arbiterq/sim/statevector.hpp"
+#include "executor_oracle.hpp"
 
 namespace arbiterq {
 namespace {
@@ -109,10 +110,10 @@ class ExecutorEquivalence : public ::testing::Test {
     for (double& w : weights_) w = rng.uniform(-1.0, 1.0);
   }
 
-  qnn::QnnExecutor make(int num_threads, bool use_plan = true) const {
+  qnn::QnnExecutor make(int num_threads, bool mitigate = false) const {
     qnn::ExecutorOptions opts;
     opts.exec = threads(num_threads);
-    opts.use_plan = use_plan;
+    opts.mitigate_depolarizing = mitigate;
     return qnn::QnnExecutor(model_, device::table3_fleet_subset(1, 2)[0],
                             opts);
   }
@@ -168,36 +169,22 @@ TEST_F(ExecutorEquivalence, ParameterShiftGradientBitIdentical) {
   }
 }
 
-TEST_F(ExecutorEquivalence, PlanOnOffBitIdenticalAcrossThreadCounts) {
-  // The compiled-plan path must reproduce the naive per-call walk
-  // exactly, for every thread count — the determinism contract extends
-  // across the plans-on/off axis, not just parallel/serial.
-  const qnn::QnnExecutor naive = make(1, /*use_plan=*/false);
-  const double loss = naive.dataset_loss(qnn::LossKind::kMse,
-                                         split_.test_features,
-                                         split_.test_labels, weights_);
-  const auto grad = naive.loss_gradient(qnn::LossKind::kMse,
-                                        split_.train_features,
-                                        split_.train_labels, weights_);
-  const auto shift = naive.loss_gradient_shift(qnn::LossKind::kMse,
-                                               split_.train_features,
-                                               split_.train_labels, weights_);
-  for (int t : {1, 2, 8}) {
-    const qnn::QnnExecutor planned = make(t, /*use_plan=*/true);
-    EXPECT_EQ(planned.dataset_loss(qnn::LossKind::kMse, split_.test_features,
-                                   split_.test_labels, weights_),
-              loss)
-        << "threads=" << t;
-    EXPECT_EQ(planned.loss_gradient(qnn::LossKind::kMse,
-                                    split_.train_features,
-                                    split_.train_labels, weights_),
-              grad)
-        << "threads=" << t;
-    EXPECT_EQ(planned.loss_gradient_shift(qnn::LossKind::kMse,
-                                          split_.train_features,
-                                          split_.train_labels, weights_),
-              shift)
-        << "threads=" << t;
+TEST_F(ExecutorEquivalence, MatchesOracleAcrossThreadCounts) {
+  // The compiled, sample-batched executor must reproduce the serial
+  // circuit-walk oracle exactly for every thread count: the determinism
+  // contract spans the execution engine, not just parallel/serial.
+  for (const bool mitigate : {false, true}) {
+    for (const int t : {1, 2, 8}) {
+      const qnn::QnnExecutor ex = make(t, mitigate);
+      const oracle::ExecutorOracle walk(ex);
+      const auto run = [&](const auto& e) {
+        return oracle::outputs_of(e, qnn::LossKind::kMse,
+                                  split_.train_features, split_.train_labels,
+                                  weights_);
+      };
+      EXPECT_EQ(run(ex), run(walk))
+          << "mitigate=" << mitigate << " threads=" << t;
+    }
   }
 }
 
@@ -231,8 +218,7 @@ core::TrainResult train_with(int num_threads, core::Strategy strategy,
                              const data::EncodedSplit& split,
                              double offline_probability = 0.0,
                              double drift_sigma = 0.0,
-                             int drift_interval = 0,
-                             bool use_exec_plans = true) {
+                             int drift_interval = 0) {
   const qnn::QnnModel model(qnn::Backbone::kCRz, 2, 2);
   core::TrainConfig cfg;
   cfg.epochs = 4;
@@ -241,7 +227,6 @@ core::TrainResult train_with(int num_threads, core::Strategy strategy,
   cfg.drift_sigma = drift_sigma;
   cfg.drift_interval = drift_interval;
   cfg.exec = threads(num_threads);
-  cfg.use_exec_plans = use_exec_plans;
   const core::DistributedTrainer trainer(
       model, device::table3_fleet_subset(4, 2), cfg);
   return trainer.train(strategy, split);
@@ -278,22 +263,6 @@ TEST_F(TrainerEquivalence, ChurnAndDriftStayBitIdentical) {
   for (int t : kSweep) {
     const core::TrainResult r = train_with(
         t, core::Strategy::kArbiterQ, split_, 0.3, 0.05, 2);
-    EXPECT_EQ(r.epoch_test_loss, base.epoch_test_loss) << "threads=" << t;
-    EXPECT_EQ(r.weights, base.weights) << "threads=" << t;
-  }
-}
-
-TEST_F(TrainerEquivalence, PlansOnOffBitIdenticalUnderChurnAndDrift) {
-  // Drift recalibrates every executor mid-training, which swaps the
-  // noise model and forces a plan rebuild; the plans-on run must still
-  // track the plans-off run bit-for-bit, at every thread count.
-  const core::TrainResult base = train_with(
-      1, core::Strategy::kArbiterQ, split_, 0.3, 0.05, 2,
-      /*use_exec_plans=*/false);
-  for (int t : {1, 2, 8}) {
-    const core::TrainResult r = train_with(
-        t, core::Strategy::kArbiterQ, split_, 0.3, 0.05, 2,
-        /*use_exec_plans=*/true);
     EXPECT_EQ(r.epoch_test_loss, base.epoch_test_loss) << "threads=" << t;
     EXPECT_EQ(r.weights, base.weights) << "threads=" << t;
   }
