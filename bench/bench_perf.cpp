@@ -39,6 +39,7 @@
 
 #include "arbiterq/circuit/unitary.hpp"
 #include "arbiterq/core/behavioral_vector.hpp"
+#include "arbiterq/core/torus.hpp"
 #include "arbiterq/core/trainers.hpp"
 #include "arbiterq/data/pipeline.hpp"
 #include "arbiterq/device/presets.hpp"
@@ -259,6 +260,29 @@ void BM_FleetEpochThreads(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FleetEpochThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
+void BM_TorusBuild(benchmark::State& state) {
+  // The serving control plane's torus build (points MDS + recurrence
+  // NUDFT) on a cycled Table III fleet with the --serving-scale weights.
+  const int fleet = static_cast<int>(state.range(0));
+  const qnn::QnnModel m(qnn::Backbone::kCRz, 2, 2);
+  const core::DistributedTrainer trainer(
+      m, device::table3_fleet_cycled(fleet, 2), core::TrainConfig{});
+  math::Rng wrng(42);
+  std::vector<std::vector<double>> weights;
+  for (int q = 0; q < fleet; ++q) {
+    std::vector<double> wq(static_cast<std::size_t>(m.num_weights()));
+    math::Rng qrng = wrng.split(static_cast<std::uint64_t>(q));
+    for (double& x : wq) x = qrng.normal(0.0, 0.3);
+    weights.push_back(std::move(wq));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::build_torus_partition(trainer.behavioral_vectors(), weights));
+  }
+}
+BENCHMARK(BM_TorusBuild)->Arg(64)->Arg(256)->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Thread-scaling mode (`--threads N`): wall-clock the two workloads the

@@ -211,13 +211,20 @@ bool parse(int argc, char** argv, CliOptions* opts) {
     } else if (flag == "--serve") {
       opts->serve = true;
     } else if (flag == "--faults") {
-      if (const char* v = next()) opts->faults = v;
+      // The serving specs are checked here, before training starts.
+      if (const char* v = next()) {
+        (void)serve::FaultInjector::parse(v);
+        opts->faults = v;
+      }
     } else if (flag == "--jobs") {
       if (const char* v = next()) opts->jobs = int_value(flag, v);
     } else if (flag == "--deadline-us") {
       if (const char* v = next()) opts->deadline_us = double_value(flag, v);
     } else if (flag == "--queue-cap") {
-      if (const char* v = next()) opts->queue_cap = int_value(flag, v);
+      if (const char* v = next()) {
+        opts->queue_cap = int_value(flag, v);
+        if (opts->queue_cap < 1) bad_value(flag, v);
+      }
     } else if (flag == "--shards") {
       if (const char* v = next()) opts->shards = int_value(flag, v);
     } else if (flag == "--shard-workers") {
@@ -229,11 +236,20 @@ bool parse(int argc, char** argv, CliOptions* opts) {
     } else if (flag == "--trace-sample") {
       if (const char* v = next()) opts->trace_sample = int_value(flag, v);
     } else if (flag == "--arbiter") {
-      if (const char* v = next()) opts->arbiter = v;
+      if (const char* v = next()) {
+        (void)serve::arbiter_kind_from_string(v);
+        opts->arbiter = v;
+      }
     } else if (flag == "--tenants") {
-      if (const char* v = next()) opts->tenants = v;
+      if (const char* v = next()) {
+        (void)serve::parse_tenant_profiles(v);
+        opts->tenants = v;
+      }
     } else if (flag == "--traffic") {
-      if (const char* v = next()) opts->traffic = v;
+      if (const char* v = next()) {
+        (void)serve::parse_traffic_spec(v);
+        opts->traffic = v;
+      }
     } else if (flag == "--tenant") {
       if (const char* v = next()) opts->tenant = v;
     } else if (flag == "--flight-out") {
@@ -379,6 +395,9 @@ int run(int argc, char** argv) {
     usage();
     return 1;
   }
+  if (!opts.traffic.empty() && opts.tenants.empty()) {
+    throw std::invalid_argument("--traffic requires --tenants");
+  }
 
   const std::map<std::string, data::BenchmarkCase> cases = {
       {"iris", {"iris", 2, 2}},
@@ -481,8 +500,7 @@ int run(int argc, char** argv) {
 
   if (opts.serve) {
     serve::ServeConfig sc;
-    sc.queue_capacity = static_cast<std::size_t>(
-        opts.queue_cap > 0 ? opts.queue_cap : 1024);
+    sc.queue_capacity = static_cast<std::size_t>(opts.queue_cap);
     sc.deadline_us = opts.deadline_us;
     sc.seed = opts.seed;
     sc.trace_sample_every = opts.trace_sample;
@@ -492,45 +510,35 @@ int run(int argc, char** argv) {
     // arbiter, and optionally the open-loop traffic generator replacing
     // the test-set submission loop.
     std::unique_ptr<serve::TrafficGenerator> traffic;
-    try {
-      sc.arbiter = serve::arbiter_kind_from_string(opts.arbiter);
-      std::vector<serve::TenantProfile> profiles;
-      if (!opts.tenants.empty()) {
-        profiles = serve::parse_tenant_profiles(opts.tenants);
+    sc.arbiter = serve::arbiter_kind_from_string(opts.arbiter);
+    std::vector<serve::TenantProfile> profiles;
+    if (!opts.tenants.empty()) {
+      profiles = serve::parse_tenant_profiles(opts.tenants);
+    }
+    if (!opts.traffic.empty()) {
+      serve::TrafficConfig tc = serve::parse_traffic_spec(opts.traffic);
+      tc.tenants = std::move(profiles);
+      tc.feature_dim = split.test_features.empty()
+                           ? 4
+                           : split.test_features.front().size();
+      traffic = std::make_unique<serve::TrafficGenerator>(tc);
+      sc.tenants = traffic->tenant_specs();
+      // Staged replay: stage the whole arrival stream before the
+      // workers start so admission (quotas AND backpressure) and the
+      // arbitrated dequeue order are pure functions of (config, seed)
+      // — live submission would race the workers' drain and make
+      // queue-full rejects wall-clock dependent.
+      sc.autostart = false;
+    } else {
+      for (const serve::TenantProfile& p : profiles) {
+        serve::TenantSpec t;
+        t.name = p.name;
+        t.weight = p.weight;
+        t.max_in_flight = p.max_in_flight;
+        t.admit_rate_per_s = p.admit_rate_per_s;
+        t.admit_burst = p.admit_burst;
+        sc.tenants.push_back(std::move(t));
       }
-      if (!opts.traffic.empty()) {
-        if (profiles.empty()) {
-          std::fprintf(stderr, "--traffic requires --tenants\n");
-          return 1;
-        }
-        serve::TrafficConfig tc = serve::parse_traffic_spec(opts.traffic);
-        tc.tenants = std::move(profiles);
-        tc.feature_dim = split.test_features.empty()
-                             ? 4
-                             : split.test_features.front().size();
-        traffic = std::make_unique<serve::TrafficGenerator>(tc);
-        sc.tenants = traffic->tenant_specs();
-        // Staged replay: stage the whole arrival stream before the
-        // workers start so admission (quotas AND backpressure) and the
-        // arbitrated dequeue order are pure functions of (config, seed)
-        // — live submission would race the workers' drain and make
-        // queue-full rejects wall-clock dependent.
-        sc.autostart = false;
-      } else {
-        for (const serve::TenantProfile& p : profiles) {
-          serve::TenantSpec t;
-          t.name = p.name;
-          t.weight = p.weight;
-          t.max_in_flight = p.max_in_flight;
-          t.admit_rate_per_s = p.admit_rate_per_s;
-          t.admit_burst = p.admit_burst;
-          sc.tenants.push_back(std::move(t));
-        }
-      }
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "bad --arbiter/--tenants/--traffic: %s\n",
-                   e.what());
-      return 1;
     }
     std::unique_ptr<serve::FaultInjector> faults;
     if (!opts.faults.empty()) {

@@ -4,7 +4,9 @@
 # suite, the adjoint engine, the simulator and statevector kernels, the
 # SIMD apply/bracket kernels and the sample-batched register, the
 # parallel equivalence suite, and the time-series store (ring eviction
-# keeps handing out live window references). Guards the plan's
+# keeps handing out live window references), plus the torus builder's
+# math (points MDS, recurrence NUDFT, oracle comparison) and the strict
+# fault-spec parser in test_serve. Guards the plan's
 # zero-allocation
 # steady-state claim — workspace reuse across bind/apply/adjoint walks
 # must not hide use-after-free, out-of-bounds table indexing, or
@@ -24,7 +26,8 @@ cmake -B "${build_dir}" -S "${repo_root}" \
 
 targets=(test_exec_plan test_adjoint test_simulator test_statevector
   test_kernels test_batched test_parallel_equivalence test_arbiter
-  test_trafficgen test_timeseries test_watchdog)
+  test_trafficgen test_timeseries test_watchdog test_mds test_dft
+  test_torus test_torus_oracle test_serve)
 cmake --build "${build_dir}" -j "$(nproc)" --target "${targets[@]}"
 
 # Promote UBSan findings to hard failures; keep ASan strict about leaks.

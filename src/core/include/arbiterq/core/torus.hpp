@@ -6,17 +6,23 @@
 // Pipeline:
 //  1. MDS reduces the behavioral-vector space and the model-vector
 //     (weight) space to 1-D sequences {b_j} and {m_t} that preserve the
-//     pairwise distances (Saeed et al.).
+//     pairwise distances (Saeed et al.). Both spaces are Euclidean, so
+//     this is PCA of the points (math::mds_embed_1d(points)): a
+//     min(n, d)-sized eigensolve, no n x n distance matrix.
 //  2. A non-uniform DFT of the model sequence sampled at the behavioral
-//     positions (Eq. 2) finds the dominant frequency; the cycle period is
-//     T = span({b_j}) / argmax_k |F_m[k]| (Eq. 3).
+//     positions (Eq. 2) finds the dominant frequency k; the cycle period
+//     is T = span({b_j}) / k (Eq. 3).
 //  3. The behavioral sequence is wrapped onto a circle of circumference
-//     T: QPUs whose b-coordinates differ by a multiple of T land at the
-//     same phase — and those are exactly the "distant but model-similar"
-//     nodes MDS alone cannot separate.
+//     T: phase = frac(k (b - min b) / span). QPUs whose b-coordinates
+//     differ by a multiple of T land at the same phase — and those are
+//     exactly the "distant but model-similar" nodes MDS alone cannot
+//     separate.
 //  4. Equidistant partition along the circle: sort by phase, cut into
 //     near-equal contiguous chunks. Each chunk strings together QPUs from
 //     different periods, i.e. with low behavioral similarity.
+// Steps 2-4 are torus_from_coords; build_torus_partition is step 1 plus
+// that call. The test oracle (tests/torus_oracle.hpp) feeds the same
+// function coordinates from the distance-matrix MDS route.
 
 #include <vector>
 
@@ -45,8 +51,18 @@ struct TorusPartition {
 /// ~3 QPUs ({1,2,3}->1, {6}->2, {8}->2, {10}->3).
 int default_torus_count(std::size_t num_qpus);
 
+/// Steps 2-4 of the pipeline: the partition of n QPUs given their 1-D
+/// behavioral and model coordinates (index = QPU). num_tori <= 0 selects
+/// default_torus_count. Throws on empty or mismatched inputs and on more
+/// tori than QPUs.
+TorusPartition torus_from_coords(std::vector<double> behavioral_coords,
+                                 std::vector<double> model_coords,
+                                 int num_tori = 0);
+
 /// Build the partition from per-QPU behavioral vectors and model vectors
-/// (deployed weights). num_tori <= 0 selects default_torus_count.
+/// (deployed weights). num_tori <= 0 selects default_torus_count. Throws
+/// std::invalid_argument on mismatched inputs, too many tori, or any
+/// non-finite behavioral or model component.
 TorusPartition build_torus_partition(
     const std::vector<BehavioralVector>& behavioral,
     const std::vector<std::vector<double>>& model_vectors, int num_tori = 0);

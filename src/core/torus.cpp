@@ -25,36 +25,27 @@ int default_torus_count(std::size_t num_qpus) {
   return std::max(1, static_cast<int>(num_qpus / 3));
 }
 
-TorusPartition build_torus_partition(
-    const std::vector<BehavioralVector>& behavioral,
-    const std::vector<std::vector<double>>& model_vectors, int num_tori) {
-  const std::size_t n = behavioral.size();
-  if (n == 0 || model_vectors.size() != n) {
-    throw std::invalid_argument("build_torus_partition: input mismatch");
+TorusPartition torus_from_coords(std::vector<double> behavioral_coords,
+                                 std::vector<double> model_coords,
+                                 int num_tori) {
+  const std::size_t n = behavioral_coords.size();
+  if (n == 0 || model_coords.size() != n) {
+    throw std::invalid_argument("torus_from_coords: input mismatch");
   }
   if (num_tori <= 0) num_tori = default_torus_count(n);
   if (static_cast<std::size_t>(num_tori) > n) {
-    throw std::invalid_argument("build_torus_partition: more tori than QPUs");
+    throw std::invalid_argument("torus_from_coords: more tori than QPUs");
   }
-  AQ_TRACE_SPAN("core.torus.partition");
-  AQ_COUNTER_ADD("core.torus.builds", 1);
-  AQ_GAUGE_SET("core.torus.count", static_cast<double>(num_tori));
-
   TorusPartition out;
-
-  std::vector<std::vector<double>> b_points;
-  b_points.reserve(n);
-  for (const auto& bv : behavioral) b_points.push_back(bv.concatenated());
-  out.behavioral_coords = math::mds_embed_1d(
-      math::pairwise_distances(b_points));
-  out.model_coords =
-      math::mds_embed_1d(math::pairwise_distances(model_vectors));
+  out.behavioral_coords = std::move(behavioral_coords);
+  out.model_coords = std::move(model_coords);
 
   // Degenerate fleets (n < 3, or a flat behavioral axis) skip the DFT and
   // fall back to a single-period torus.
-  const auto [lo, hi] = std::minmax_element(out.behavioral_coords.begin(),
-                                            out.behavioral_coords.end());
-  const double span = *hi - *lo;
+  const auto [lo_it, hi_it] = std::minmax_element(
+      out.behavioral_coords.begin(), out.behavioral_coords.end());
+  const double lo = *lo_it;
+  const double span = *hi_it - lo;
   if (n >= 3 && span > 1e-15) {
     const auto cycle = math::dominant_cycle(out.behavioral_coords,
                                             out.model_coords, n);
@@ -65,12 +56,15 @@ TorusPartition build_torus_partition(
     out.dominant_frequency = 1;
   }
 
-  // Wrap onto the torus circle.
+  // Wrap onto the torus circle: phase = frac(k (b - lo) / span). The
+  // ratio is formed first so the top of the axis (offset exactly k T)
+  // lands at phase 0 with the bottom, whatever the rounding of T.
+  const double k = static_cast<double>(out.dominant_frequency);
   out.phase.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const double offset = out.behavioral_coords[i] - *lo;
-    const double m = std::fmod(offset, out.cycle_period);
-    out.phase[i] = m / out.cycle_period;
+    const double x =
+        span > 0.0 ? k * ((out.behavioral_coords[i] - lo) / span) : 0.0;
+    out.phase[i] = x - std::floor(x);
   }
 
   // Equidistant partition: sort by phase, cut into near-equal chunks
@@ -88,10 +82,40 @@ TorusPartition build_torus_partition(
     const std::size_t remaining_tori = static_cast<std::size_t>(num_tori - t);
     const std::size_t chunk =
         (n - cursor + remaining_tori - 1) / remaining_tori;
-    for (std::size_t k = 0; k < chunk; ++k) {
+    for (std::size_t c = 0; c < chunk; ++c) {
       out.tori[static_cast<std::size_t>(t)].push_back(order[cursor++]);
     }
   }
+  return out;
+}
+
+TorusPartition build_torus_partition(
+    const std::vector<BehavioralVector>& behavioral,
+    const std::vector<std::vector<double>>& model_vectors, int num_tori) {
+  if (behavioral.empty() || model_vectors.size() != behavioral.size()) {
+    throw std::invalid_argument("build_torus_partition: input mismatch");
+  }
+  AQ_TRACE_SPAN("core.torus.partition");
+  AQ_COUNTER_ADD("core.torus.builds", 1);
+
+  std::vector<std::vector<double>> b_points;
+  b_points.reserve(behavioral.size());
+  for (const auto& bv : behavioral) b_points.push_back(bv.concatenated());
+  // One NaN would poison every |F[k]| and silently degrade the wrap to
+  // contiguous chunking, so non-finite inputs are rejected outright.
+  const auto finite = [](const std::vector<double>& v) {
+    return std::all_of(v.begin(), v.end(),
+                       [](double x) { return std::isfinite(x); });
+  };
+  if (!std::all_of(b_points.begin(), b_points.end(), finite) ||
+      !std::all_of(model_vectors.begin(), model_vectors.end(), finite)) {
+    throw std::invalid_argument(
+        "build_torus_partition: non-finite behavioral or model component");
+  }
+  TorusPartition out =
+      torus_from_coords(math::mds_embed_1d(b_points),
+                        math::mds_embed_1d(model_vectors), num_tori);
+  AQ_GAUGE_SET("core.torus.count", static_cast<double>(out.tori.size()));
   return out;
 }
 

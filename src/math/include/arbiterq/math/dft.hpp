@@ -12,9 +12,13 @@
 
 namespace arbiterq::math {
 
-/// F[k] = sum_j values[j] * exp(-i * 2*pi/(max(pos)-min(pos)) * k * pos[j])
-/// evaluated for k = 0 .. num_bins-1. `positions` and `values` must have the
-/// same nonzero length and a nonzero position span.
+/// F[k] = sum_j values[j] * exp(-i * 2*pi/span * k * (pos[j] - min(pos)))
+/// with span = max(pos) - min(pos), evaluated for k = 0 .. num_bins-1.
+/// Measuring positions from min(pos) multiplies each bin by a unit
+/// phasor, so |F[k]| is that of the textbook sum over raw positions.
+/// Cost: one complex multiply per (sample, bin) via a phasor recurrence,
+/// with sin/cos only every 64th bin. `positions` and `values` must have
+/// the same nonzero length and a nonzero position span.
 std::vector<std::complex<double>> nudft(const std::vector<double>& positions,
                                         const std::vector<double>& values,
                                         std::size_t num_bins);

@@ -1,7 +1,8 @@
 #pragma once
-// Symmetric eigensolver (cyclic Jacobi rotations). Sufficient for the
-// small Gram/covariance matrices MDS and PCA produce (n = number of QPUs
-// or number of features, both <= a few hundred).
+// Symmetric eigensolver (cyclic Jacobi rotations), O(n^3) per sweep.
+// Sufficient for the small matrices MDS and PCA produce: the torus
+// builder's MDS solves min(QPUs, features) square (a covariance or a
+// Gram matrix, see mds.hpp), PCA the feature covariance.
 
 #include <vector>
 

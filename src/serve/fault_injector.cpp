@@ -1,7 +1,11 @@
 #include "arbiterq/serve/fault_injector.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 namespace arbiterq::serve {
@@ -121,6 +125,35 @@ FaultConfig FaultInjector::parse(std::string_view spec) {
     throw std::invalid_argument("FaultInjector::parse: " + what + " in '" +
                                 std::string(spec) + "'");
   };
+  // Whole-token numbers only: trailing garbage, "nan" and "inf" never
+  // reach the fault arithmetic.
+  const auto count = [&](std::string_view tok) -> std::uint64_t {
+    const std::string s(tok);
+    char* end = nullptr;
+    errno = 0;
+    const std::uint64_t v = std::strtoull(s.c_str(), &end, 10);
+    if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])) ||
+        *end != '\0' || errno == ERANGE) {
+      bad("bad count '" + s + "'");
+    }
+    return v;
+  };
+  const auto number = [&](std::string_view tok) -> double {
+    const std::string s(tok);
+    char* end = nullptr;
+    const double v = std::strtod(s.c_str(), &end);
+    if (s.empty() || *end != '\0' || !std::isfinite(v)) {
+      bad("bad number '" + s + "'");
+    }
+    return v;
+  };
+  const auto probability = [&](std::string_view tok) -> double {
+    const double p = number(tok);
+    if (p < 0.0 || p > 1.0) {
+      bad("probability '" + std::string(tok) + "' outside [0, 1]");
+    }
+    return p;
+  };
   while (pos < spec.size()) {
     std::size_t comma = spec.find(',', pos);
     if (comma == std::string_view::npos) comma = spec.size();
@@ -130,37 +163,40 @@ FaultConfig FaultInjector::parse(std::string_view spec) {
     const std::size_t colon = item.find(':');
     if (colon == std::string_view::npos) bad("missing ':'");
     const std::string_view key = item.substr(0, colon);
-    const std::string value(item.substr(colon + 1));
-    char* end = nullptr;
+    const std::string_view value = item.substr(colon + 1);
+    const std::size_t at = value.find('@');
     if (key == "kill") {
       // kill:<qpu>@<job>
-      const std::size_t at = value.find('@');
-      if (at == std::string::npos) bad("kill needs <qpu>@<job>");
-      DropoutEvent e;
-      e.qpu = std::atoi(value.substr(0, at).c_str());
-      e.at_job = std::strtoull(value.c_str() + at + 1, &end, 10);
-      cfg.dropouts.push_back(e);
+      if (at == std::string_view::npos) bad("kill needs <qpu>@<job>");
+      const std::uint64_t qpu = count(value.substr(0, at));
+      if (qpu > static_cast<std::uint64_t>(
+                    std::numeric_limits<int>::max())) {
+        bad("qpu out of range");
+      }
+      cfg.dropouts.push_back(
+          {static_cast<int>(qpu), count(value.substr(at + 1))});
     } else if (key == "drop") {
       // drop:<p>[@<horizon>]
-      const std::size_t at = value.find('@');
-      cfg.dropout_probability = std::atof(value.substr(0, at).c_str());
-      if (at != std::string::npos) {
-        cfg.dropout_horizon_jobs =
-            std::strtoull(value.c_str() + at + 1, &end, 10);
+      cfg.dropout_probability = probability(value.substr(0, at));
+      if (at != std::string_view::npos) {
+        cfg.dropout_horizon_jobs = count(value.substr(at + 1));
       }
     } else if (key == "transient") {
-      cfg.transient_probability = std::atof(value.c_str());
+      cfg.transient_probability = probability(value);
     } else if (key == "spike") {
-      // spike:<p>x<mult>
+      // spike:<p>[x<mult>]
       const std::size_t x = value.find('x');
-      cfg.latency_spike_probability = std::atof(value.substr(0, x).c_str());
-      if (x != std::string::npos) {
-        cfg.latency_spike_multiplier = std::atof(value.c_str() + x + 1);
+      cfg.latency_spike_probability = probability(value.substr(0, x));
+      if (x != std::string_view::npos) {
+        cfg.latency_spike_multiplier = number(value.substr(x + 1));
+        if (cfg.latency_spike_multiplier < 1.0) {
+          bad("spike multiplier below 1");
+        }
       }
     } else if (key == "lag") {
-      cfg.detection_lag_jobs = std::strtoull(value.c_str(), &end, 10);
+      cfg.detection_lag_jobs = count(value);
     } else if (key == "seed") {
-      cfg.seed = std::strtoull(value.c_str(), &end, 10);
+      cfg.seed = count(value);
     } else {
       bad("unknown directive '" + std::string(key) + "'");
     }

@@ -91,11 +91,13 @@ class FaultInjector {
   ///   kill:<qpu>@<job>   scripted dropout
   ///   drop:<p>[@<horizon>]  probability-mode dropouts
   ///   transient:<p>      transient failure probability
-  ///   spike:<p>x<mult>   latency spikes
+  ///   spike:<p>[x<mult>]  latency spikes
   ///   lag:<jobs>         detection lag
   ///   seed:<n>
   /// e.g. "kill:3@40,transient:0.05,spike:0.1x8". Throws
-  /// std::invalid_argument on malformed specs.
+  /// std::invalid_argument on malformed specs: a token with trailing
+  /// garbage, a non-finite number, a probability outside [0, 1] or a
+  /// spike multiplier below 1.
   static FaultConfig parse(std::string_view spec);
 
  private:

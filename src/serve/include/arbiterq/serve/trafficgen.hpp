@@ -148,13 +148,16 @@ class TrafficGenerator {
 ///    flood=5,flood_from=0.2,flood_until=0.8"
 ///
 /// `class` accepts latency_bound|throughput_bound|best_effort (or the
-/// shorts latency|throughput|best). Throws std::invalid_argument on an
-/// unknown key, malformed field, or duplicate tenant name.
+/// shorts latency|throughput|best). `weight=0` marks a background
+/// tenant. Throws std::invalid_argument on an unknown key, malformed
+/// field, non-finite number ("nan", "inf"), negative weight, or
+/// duplicate tenant name.
 std::vector<TenantProfile> parse_tenant_profiles(const std::string& spec);
 
 /// Parse a traffic-shape string: "<pattern>[,key=value...]" with keys
 /// duration, seed, dim, period, amplitude, cycle, duty, mult, idle —
-/// e.g. "diurnal,duration=2,seed=7,period=0.5,amplitude=0.8". The
+/// e.g. "diurnal,duration=2,seed=7,period=0.5,amplitude=0.8". Numbers
+/// must be finite. The
 /// returned config has an empty tenant mix; fill it from
 /// parse_tenant_profiles or adversarial_mix.
 TrafficConfig parse_traffic_spec(const std::string& spec);

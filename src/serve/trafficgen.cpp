@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdlib>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -48,16 +49,16 @@ std::string trimmed(const std::string& s) {
   return s.substr(b, e - b);
 }
 
+/// Whole-string finite number: trailing garbage, "nan" and "inf" are
+/// rejected before they reach rates, weights or quotas.
 double parse_double(const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(value, &used);
-    if (used != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
+  char* end = nullptr;
+  const double v = std::strtod(value.c_str(), &end);
+  if (value.empty() || *end != '\0' || !std::isfinite(v)) {
     throw std::invalid_argument("trafficgen: bad numeric value '" + value +
                                 "' for key '" + key + "'");
   }
+  return v;
 }
 
 /// Split "key=value"; throws when '=' is missing.
@@ -282,6 +283,11 @@ std::vector<TenantProfile> parse_tenant_profiles(const std::string& spec) {
         t.rate_per_s = parse_double(key, value);
       } else if (key == "weight") {
         t.weight = parse_double(key, value);
+        // 0 is the one spelling of a background tenant (TenantSpec).
+        if (t.weight < 0.0) {
+          throw std::invalid_argument("trafficgen: tenant '" + t.name +
+                                      "' has a negative weight");
+        }
       } else if (key == "shots") {
         t.shots = static_cast<int>(parse_double(key, value));
       } else if (key == "deadline_us") {

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <complex>
 #include <numbers>
+#include <vector>
+
+#include "arbiterq/math/rng.hpp"
 
 namespace arbiterq::math {
 namespace {
@@ -46,6 +51,56 @@ TEST(Nudft, MatchesAnalyticSingleTone) {
     }
   }
   EXPECT_EQ(best_k, static_cast<std::size_t>(f0));
+}
+
+/// The textbook direct sum over raw positions, n K sin/cos pairs: the
+/// reference for nudft's offset-and-recurrence evaluation.
+std::vector<std::complex<double>> direct_nudft(const std::vector<double>& pos,
+                                               const std::vector<double>& val,
+                                               std::size_t num_bins) {
+  const auto [lo, hi] = std::minmax_element(pos.begin(), pos.end());
+  const double base = 2.0 * std::numbers::pi / (*hi - *lo);
+  std::vector<std::complex<double>> out(num_bins);
+  for (std::size_t k = 0; k < num_bins; ++k) {
+    for (std::size_t j = 0; j < pos.size(); ++j) {
+      const double phase = -base * static_cast<double>(k) * pos[j];
+      out[k] += val[j] * std::complex<double>(std::cos(phase),
+                                              std::sin(phase));
+    }
+  }
+  return out;
+}
+
+std::size_t argmax_from_1(const std::vector<std::complex<double>>& f) {
+  std::size_t best = 1;
+  for (std::size_t k = 2; k < f.size(); ++k) {
+    if (std::abs(f[k]) > std::abs(f[best])) best = k;
+  }
+  return best;
+}
+
+TEST(Nudft, RecurrenceMatchesDirectSum) {
+  // MDS-like irregular positions with a nonzero minimum and noisy model
+  // values, n bins as the torus builder asks, 6 to 1024 samples (past
+  // several 64-bin reseeds).
+  for (std::size_t n : {6U, 10U, 37U, 64U, 65U, 256U, 1000U, 1024U}) {
+    SCOPED_TRACE(n);
+    Rng rng(n);
+    std::vector<double> pos(n), val(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      pos[j] = rng.uniform(-0.3, 0.7);
+      val[j] = std::sin(9.0 * pos[j]) + rng.normal(0.0, 0.5);
+    }
+    const auto got = nudft(pos, val, n);
+    const auto want = direct_nudft(pos, val, n);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(argmax_from_1(got), argmax_from_1(want));
+    for (std::size_t k = 0; k < n; ++k) {
+      EXPECT_LE(std::abs(std::abs(got[k]) - std::abs(want[k])),
+                1e-9 * std::abs(want[k]))
+          << "bin " << k;
+    }
+  }
 }
 
 TEST(DominantCycle, FindsPeriodOfTone) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "arbiterq/math/rng.hpp"
@@ -113,6 +114,70 @@ TEST(Mds, IdenticalPointsGiveZeroCoordinates) {
   const std::vector<std::vector<double>> pts = {{1.0, 1.0}, {1.0, 1.0}};
   const auto coords = mds_embed_1d(pairwise_distances(pts));
   EXPECT_NEAR(coords[0], coords[1], 1e-12);
+}
+
+TEST(Mds, DistanceRoutePinsSign) {
+  // Reversing the input order reverses the axis; the pinned sign keeps
+  // the largest-|x| coordinate positive either way.
+  for (const auto& pts : {std::vector<std::vector<double>>{
+                              {0.0}, {1.0}, {3.0}, {7.0}},
+                          std::vector<std::vector<double>>{
+                              {7.0}, {3.0}, {1.0}, {0.0}}}) {
+    const auto coords = mds_embed_1d(pairwise_distances(pts));
+    const auto top = std::max_element(
+        coords.begin(), coords.end(),
+        [](double a, double b) { return std::abs(a) < std::abs(b); });
+    EXPECT_GT(*top, 0.0);
+  }
+}
+
+TEST(MdsPoints, CovarianceSideMatchesDistanceRoute) {
+  // d = 3 <= n = 12: the covariance side.
+  Rng rng(31);
+  std::vector<std::vector<double>> pts;
+  for (int i = 0; i < 12; ++i) {
+    pts.push_back({rng.uniform(-1.0, 1.0), 3.0 * rng.uniform(-1.0, 1.0),
+                   rng.uniform(-0.1, 0.1)});
+  }
+  const auto got = mds_embed_1d(pts);
+  const auto want = mds_embed_1d(pairwise_distances(pts));
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_NEAR(got[i], want[i], 1e-9);
+  }
+}
+
+TEST(MdsPoints, GramSideMatchesDistanceRoute) {
+  // d = 40 > n = 5: the Gram side.
+  Rng rng(37);
+  std::vector<std::vector<double>> pts(5, std::vector<double>(40));
+  for (auto& p : pts) {
+    for (double& x : p) x = rng.uniform(-1.0, 1.0);
+  }
+  const auto got = mds_embed_1d(pts);
+  const auto want = mds_embed_1d(pairwise_distances(pts));
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_NEAR(got[i], want[i], 1e-9);
+  }
+}
+
+TEST(MdsPoints, SignTieGoesToLowestIndex) {
+  // Symmetric about the mean: |x| ties exactly, index 0 wins.
+  const std::vector<std::vector<double>> two = {{-1.0, 2.0}, {1.0, 2.0}};
+  EXPECT_EQ(mds_embed_1d(two), (std::vector<double>{1.0, -1.0}));
+  const std::vector<std::vector<double>> two_rev = {{1.0, 2.0},
+                                                    {-1.0, 2.0}};
+  EXPECT_EQ(mds_embed_1d(two_rev), (std::vector<double>{1.0, -1.0}));
+}
+
+TEST(MdsPoints, DegenerateAndBadInput) {
+  const std::vector<std::vector<double>> same = {{1.0, 1.0}, {1.0, 1.0}};
+  for (double c : mds_embed_1d(same)) EXPECT_EQ(c, 0.0);
+  EXPECT_THROW(mds_embed_1d(std::vector<std::vector<double>>{}),
+               std::invalid_argument);
+  const std::vector<std::vector<double>> ragged = {{0.0, 0.0}, {1.0}};
+  EXPECT_THROW(mds_embed_1d(ragged), std::invalid_argument);
 }
 
 }  // namespace

@@ -150,6 +150,23 @@ TEST(FaultInjector, ParseSpec) {
   EXPECT_THROW(FaultInjector::parse("kill:3"), std::invalid_argument);
 }
 
+TEST(FaultInjector, ParseRejectsBadNumbers) {
+  for (const char* spec :
+       {"transient:nan", "transient:inf", "transient:0.1x", "transient:",
+        "transient:1.5", "transient:-0.1", "drop:2", "drop:0.1@1e3",
+        "spike:0.1xnan", "spike:0.1x0.5", "spike:nanx8", "kill:3@40;x",
+        "kill:-1@4", "kill:a@4", "lag:4.5", "seed:-2",
+        "seed:99999999999999999999", "kill:3@10;transient:0.2;seed:42"}) {
+    EXPECT_THROW(FaultInjector::parse(spec), std::invalid_argument) << spec;
+  }
+  const FaultConfig edge =
+      FaultInjector::parse("transient:1,drop:0@16,spike:0x1");
+  EXPECT_EQ(edge.transient_probability, 1.0);
+  EXPECT_EQ(edge.dropout_probability, 0.0);
+  EXPECT_EQ(edge.dropout_horizon_jobs, 16U);
+  EXPECT_EQ(edge.latency_spike_multiplier, 1.0);
+}
+
 // ----------------------------------------------------------- ServingRuntime
 
 class ServeFixture : public ::testing::Test {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "arbiterq/math/rng.hpp"
@@ -114,6 +115,30 @@ TEST(TorusPartition, InputValidation) {
   EXPECT_THROW(build_torus_partition(f.behavioral, f.models),
                std::invalid_argument);
   EXPECT_THROW(build_torus_partition({}, {}), std::invalid_argument);
+}
+
+TEST(TorusPartition, NonFiniteInputsThrow) {
+  // One NaN weight would poison every |F[k]| and silently fall back to
+  // contiguous chunking; it must be rejected instead.
+  Fixture f = make_fleet(64, 29);
+  f.models[17][1] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(build_torus_partition(f.behavioral, f.models),
+               std::invalid_argument);
+  f = make_fleet(64, 29);
+  f.behavioral[40].topological[1] = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(build_torus_partition(f.behavioral, f.models),
+               std::invalid_argument);
+}
+
+TEST(TorusPartition, TopOfAxisWrapsToPhaseZero) {
+  // Offsets 0, T, 2T, 3T = span with k = 3: all four land at phase 0
+  // exactly, so the top QPU shares the bottom's torus slot.
+  const TorusPartition p =
+      torus_from_coords({0.0, 0.1, 0.2, 0.3, 0.05, 0.25},
+                        {1.0, 1.0, 1.0, 1.0, -1.0, -1.0}, 2);
+  ASSERT_EQ(p.dominant_frequency, 3U);
+  EXPECT_EQ(p.phase[0], 0.0);
+  EXPECT_EQ(p.phase[3], 0.0);
 }
 
 TEST(TorusPartition, DegenerateTwoNodeFleet) {

@@ -214,6 +214,11 @@ TEST(TrafficParsers, RejectMalformedTenantSpecs) {
   EXPECT_THROW(parse_tenant_profiles("a,bogus=1"), std::invalid_argument);
   EXPECT_THROW(parse_tenant_profiles("a,class=gold"), std::invalid_argument);
   EXPECT_THROW(parse_tenant_profiles("rate=5"), std::invalid_argument);
+  // Non-finite numbers and negative weights never reach the arbiter.
+  EXPECT_THROW(parse_tenant_profiles("a,weight=nan"), std::invalid_argument);
+  EXPECT_THROW(parse_tenant_profiles("a,rate=inf"), std::invalid_argument);
+  EXPECT_THROW(parse_tenant_profiles("a,weight=-1"), std::invalid_argument);
+  EXPECT_EQ(parse_tenant_profiles("bg,weight=0")[0].weight, 0.0);
 }
 
 TEST(TrafficParsers, TrafficSpecParsesPatternAndKeys) {
@@ -227,6 +232,9 @@ TEST(TrafficParsers, TrafficSpecParsesPatternAndKeys) {
   EXPECT_EQ(cfg.diurnal_amplitude, 0.7);
   EXPECT_THROW(parse_traffic_spec(""), std::invalid_argument);
   EXPECT_THROW(parse_traffic_spec("steady,warp=9"), std::invalid_argument);
+  EXPECT_THROW(parse_traffic_spec("steady,duration=nan"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_traffic_spec("steady,mult=2x"), std::invalid_argument);
 }
 
 TEST(TrafficParsers, AdversarialMixScalesToFleetCapacity) {
