@@ -653,6 +653,21 @@ int run_plan_ab_mode(const std::string& out_path) {
   return identical ? 0 : 2;
 }
 
+/// Per-job serving outputs bit-identical (the serving determinism
+/// contract every serving mode gates on).
+bool same_job_results(const std::vector<serve::JobResult>& a,
+                      const std::vector<serve::JobResult>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].status != b[i].status || a[i].probability != b[i].probability ||
+        a[i].retries != b[i].retries ||
+        a[i].virtual_latency_us != b[i].virtual_latency_us) {
+      return false;
+    }
+  }
+  return true;
+}
+
 // ---------------------------------------------------------------------------
 // Telemetry A/B mode (`--telemetry-ab`): the same fleet-training workload
 // clocked with the runtime telemetry switch on and off (spans + metric
@@ -663,9 +678,90 @@ int run_plan_ab_mode(const std::string& out_path) {
 // ratio is the instrumentation overhead, targeted at < 5% (documented in
 // DESIGN.md; not enforced by exit code because CI machines are noisy).
 //
+// The serving arm replays one staged job stream on a 256-QPU synthetic
+// fleet (iris 2q x 2l, 2 shards x 1 worker, default gauge cadence, so
+// the per-batch gauge refresh runs) with the switch off and on in
+// adjacent pairs. It is gated: exit 2 if the per-job results differ
+// between the arms, exit 3 if the median paired on/off wall ratio of
+// the replay exceeds kServingOverheadGate. On a 4-core Xeon VM
+// (Release), building and looking up 258 gauge names per batch
+// measured ~100x; handles resolved once plus owner-written inflight
+// gauges measure ~1.3-1.8x, so the gate sits far outside both.
+//
 // In ARBITERQ_TELEMETRY=OFF builds the macros compile away entirely, so
 // both arms run the stripped code and the ratio measures the runtime
 // branch alone; "telemetry_compiled" in the JSON records which case ran.
+
+constexpr double kServingOverheadGate = 2.0;
+
+struct ServingTelemetryAb {
+  std::size_t jobs = 0;
+  double on_s = 1e300;   ///< per-arm minimum, start() -> drain()
+  double off_s = 1e300;
+  double ratio = 0.0;    ///< median of the paired on/off ratios
+  bool identical = true;
+};
+
+ServingTelemetryAb run_serving_telemetry_ab() {
+  constexpr int kFleet = 256;
+  constexpr std::size_t kJobs = 16384;
+  const data::BenchmarkCase bc{"iris", 2, 2};
+  const data::EncodedSplit split = data::prepare_case(bc, 42);
+  const qnn::QnnModel m(qnn::Backbone::kCRz, bc.num_qubits, bc.num_layers);
+  const core::DistributedTrainer trainer(
+      m, device::table3_fleet_cycled(kFleet, bc.num_qubits),
+      core::TrainConfig{});
+  math::Rng wrng(42);
+  std::vector<std::vector<double>> weights;
+  for (int q = 0; q < kFleet; ++q) {
+    std::vector<double> wq(static_cast<std::size_t>(m.num_weights()));
+    math::Rng qrng = wrng.split(static_cast<std::uint64_t>(q));
+    for (double& x : wq) x = qrng.normal(0.0, 0.3);
+    weights.push_back(std::move(wq));
+  }
+  // Staged replay: every job is submitted before start(), so the timed
+  // span is the workers draining the backlog — the per-batch path.
+  const auto staged_run = [&](bool enabled,
+                              std::vector<serve::JobResult>* results) {
+    telemetry::set_telemetry_runtime_enabled(enabled);
+    serve::ServeConfig sc;
+    sc.num_shards = 2;
+    sc.workers_per_shard = 1;
+    sc.synthetic_execution = true;
+    sc.autostart = false;
+    sc.queue_capacity = kJobs * 8;  // no capacity rejects
+    serve::ServingRuntime runtime(trainer.executors(), weights,
+                                  trainer.behavioral_vectors(), sc);
+    for (std::size_t i = 0; i < kJobs; ++i) {
+      serve::JobSpec spec;
+      spec.features = split.test_features[i % split.test_features.size()];
+      spec.label = split.test_labels[i % split.test_labels.size()];
+      runtime.submit(spec);
+    }
+    const double t0 = now_seconds();
+    runtime.start();
+    runtime.drain();
+    const double s = now_seconds() - t0;
+    *results = runtime.results();
+    return s;
+  };
+  ServingTelemetryAb out;
+  out.jobs = kJobs;
+  std::vector<serve::JobResult> res_on, res_off;
+  (void)staged_run(true, &res_on);  // warm-up
+  std::vector<double> ratios;
+  for (int rep = 0; rep < 9; ++rep) {
+    const double off = staged_run(false, &res_off);
+    const double on = staged_run(true, &res_on);
+    out.off_s = std::min(out.off_s, off);
+    out.on_s = std::min(out.on_s, on);
+    ratios.push_back(on / off);
+    out.identical &= same_job_results(res_on, res_off);
+  }
+  telemetry::set_telemetry_runtime_enabled(true);
+  out.ratio = median_of(ratios);
+  return out;
+}
 
 int run_telemetry_ab_mode(const std::string& out_path) {
   std::printf("telemetry A/B mode: runtime switch on vs off\n");
@@ -733,6 +829,8 @@ int run_telemetry_ab_mode(const std::string& out_path) {
       losses_on == losses_off && losses_col == losses_off;
   const double ratio = ratios[ratios.size() / 2];
   const double col_ratio = col_ratios[col_ratios.size() / 2];
+  const ServingTelemetryAb serving = run_serving_telemetry_ab();
+  const bool serving_ok = serving.ratio <= kServingOverheadGate;
 #ifdef ARBITERQ_TELEMETRY_ENABLED
   const bool compiled = true;
 #else
@@ -762,15 +860,28 @@ int run_telemetry_ab_mode(const std::string& out_path) {
   std::fprintf(f, "  \"collector_overhead_percent\": %.2f,\n",
                100.0 * (col_ratio - 1.0));
   std::fprintf(f, "  \"overhead_target_percent\": 5.0,\n");
-  std::fprintf(f, "  \"equivalent\": %s\n}\n",
+  std::fprintf(f, "  \"equivalent\": %s,\n",
                equivalent ? "true" : "false");
+  std::fprintf(f,
+               "  \"serving\": {\"workload\": \"iris 2q x 2l, 256 QPUs, "
+               "synthetic, 2 shards x 1 worker, staged replay\", "
+               "\"jobs\": %zu, \"telemetry_on_seconds\": %.6f, "
+               "\"telemetry_off_seconds\": %.6f, \"overhead_ratio\": %.4f, "
+               "\"overhead_gate_ratio\": %.1f, \"identical\": %s}\n}\n",
+               serving.jobs, serving.on_s, serving.off_s, serving.ratio,
+               kServingOverheadGate, serving.identical ? "true" : "false");
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
   std::printf("telemetry on %.3fs  off %.3fs  collector %.3fs  "
               "overhead %.2f%% (collector %.2f%%)  equivalent=%s\n",
               on_s, off_s, col_s, 100.0 * (ratio - 1.0),
               100.0 * (col_ratio - 1.0), equivalent ? "yes" : "NO");
-  return equivalent ? 0 : 2;
+  std::printf("serving (256 QPUs, %zu jobs staged): on %.4fs  off %.4fs  "
+              "on/off %.2fx (gate %.1fx)  identical=%s\n",
+              serving.jobs, serving.on_s, serving.off_s, serving.ratio,
+              kServingOverheadGate, serving.identical ? "yes" : "NO");
+  if (!equivalent || !serving.identical) return 2;
+  return serving_ok ? 0 : 3;
 }
 
 // ---------------------------------------------------------------------------
@@ -947,16 +1058,7 @@ int run_serving_mode(const std::string& out_path, std::size_t n_jobs) {
 
   // Determinism check: same seed, fresh runtime, bit-identical jobs.
   const ServingRun b = run_once();
-  bool deterministic = a.results.size() == b.results.size();
-  if (deterministic) {
-    for (std::size_t i = 0; i < a.results.size(); ++i) {
-      deterministic &= a.results[i].status == b.results[i].status &&
-                       a.results[i].probability == b.results[i].probability &&
-                       a.results[i].retries == b.results[i].retries &&
-                       a.results[i].virtual_latency_us ==
-                           b.results[i].virtual_latency_us;
-    }
-  }
+  const bool deterministic = same_job_results(a.results, b.results);
 
   // Flight-recorder coverage: every dropped, deadline-missed, or
   // retry-exhausted job must have left a postmortem record, and the
@@ -1091,21 +1193,8 @@ int run_serving_obs_mode(const std::string& out_path, std::size_t n_jobs) {
   const double full_ratio = full_ratios[full_ratios.size() / 2];
 
   // Admitted-set bit-identity across all three tracing regimes.
-  const auto same = [](const std::vector<serve::JobResult>& x,
-                       const std::vector<serve::JobResult>& y) {
-    if (x.size() != y.size()) return false;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      if (x[i].status != y[i].status ||
-          x[i].probability != y[i].probability ||
-          x[i].retries != y[i].retries ||
-          x[i].virtual_latency_us != y[i].virtual_latency_us) {
-        return false;
-      }
-    }
-    return true;
-  };
-  const bool identical =
-      same(res_off, res_sampled) && same(res_off, res_full);
+  const bool identical = same_job_results(res_off, res_sampled) &&
+                         same_job_results(res_off, res_full);
 
   std::string e;
   jsonf(&e, "    {\"timestamp\": \"%s\",\n", utc_timestamp().c_str());
@@ -1334,16 +1423,7 @@ int run_serving_scale_mode(const std::string& out_path,
       if (baseline.empty()) {
         baseline = run.results;
       } else {
-        p.identical = run.results.size() == baseline.size();
-        for (std::size_t i = 0; p.identical && i < run.results.size();
-             ++i) {
-          p.identical =
-              run.results[i].status == baseline[i].status &&
-              run.results[i].probability == baseline[i].probability &&
-              run.results[i].retries == baseline[i].retries &&
-              run.results[i].virtual_latency_us ==
-                  baseline[i].virtual_latency_us;
-        }
+        p.identical = same_job_results(run.results, baseline);
       }
       all_identical &= p.identical;
       top_rate = std::max(top_rate, p.admission_jobs_per_s);

@@ -154,12 +154,17 @@ void FleetHealthMonitor::observe_calibration(
   // Publish the distances as gauges so the time-series collector (and
   // the watchdog's drift-velocity detector) can follow their trajectory.
   if (telemetry::telemetry_runtime_enabled()) {
-    auto& reg = telemetry::MetricsRegistry::global();
-    for (std::size_t i = 0; i < n; ++i) {
-      // Per-QPU names vary at runtime: registry lookup, not AQ_GAUGE_SET.
-      reg.gauge("monitor.qpu.drift.q" + std::to_string(i)).set(drift_[i]);
+    if (drift_max_gauge_ == nullptr) {
+      auto& reg = telemetry::MetricsRegistry::global();
+      drift_max_gauge_ = &reg.gauge("monitor.fleet.drift.max");
+      drift_gauges_.reserve(drift_.size());
+      for (std::size_t i = 0; i < drift_.size(); ++i) {
+        drift_gauges_.push_back(
+            &reg.gauge("monitor.qpu.drift.q" + std::to_string(i)));
+      }
     }
-    reg.gauge("monitor.fleet.drift.max").set(worst);
+    for (std::size_t i = 0; i < n; ++i) drift_gauges_[i]->set(drift_[i]);
+    drift_max_gauge_->set(worst);
   }
 }
 

@@ -35,6 +35,7 @@
 
 #include "arbiterq/core/behavioral_vector.hpp"
 #include "arbiterq/monitor/introspect.hpp"
+#include "arbiterq/telemetry/metrics.hpp"
 #include "arbiterq/telemetry/sink.hpp"
 
 namespace arbiterq::monitor {
@@ -193,6 +194,10 @@ class FleetHealthMonitor final : public telemetry::TrainingTelemetry {
   HealthConfig config_;
   std::vector<ConvergenceTracker> trackers_;
   std::vector<double> drift_;
+  /// monitor.qpu.drift.q<i> (one per QPU) and monitor.fleet.drift.max,
+  /// resolved on the first drift publish.
+  std::vector<telemetry::Gauge*> drift_gauges_;
+  telemetry::Gauge* drift_max_gauge_ = nullptr;
   std::vector<bool> online_;
   std::vector<bool> have_online_;
   std::vector<int> churn_flips_;

@@ -171,10 +171,22 @@ class SloEngine {
   struct ShardState {
     std::size_t jobs = 0;
     std::size_t violations = 0;
+    /// slo.jobs.shard<k> / slo.violations.shard<k>, resolved when
+    /// shard_state_ grows (null for tenant rows, which publish none).
+    telemetry::Counter* jobs_counter = nullptr;
+    telemetry::Counter* violations_counter = nullptr;
+  };
+
+  /// slo.{jobs,violations,breaches}.<class>, resolved in the constructor.
+  struct ClassCounters {
+    telemetry::Counter* jobs = nullptr;
+    telemetry::Counter* violations = nullptr;
+    telemetry::Counter* breaches = nullptr;
   };
 
   SloPolicy policy_;
   FleetHealthMonitor* monitor_;
+  std::array<ClassCounters, kNumSloClasses> class_counters_;
   mutable std::mutex mu_;
   std::array<ClassState, kNumSloClasses> state_;
   /// Indexed by shard id (grown on demand; shard counts are small).

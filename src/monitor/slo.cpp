@@ -46,6 +46,13 @@ SloEngine::SloEngine(SloPolicy policy, FleetHealthMonitor* monitor)
       throw std::invalid_argument("SloEngine: error_budget outside (0, 1]");
     }
   }
+  auto& reg = telemetry::MetricsRegistry::global();
+  for (std::size_t i = 0; i < kNumSloClasses; ++i) {
+    const std::string name = slo_class_name(class_at(i));
+    class_counters_[i] = {&reg.counter("slo.jobs." + name),
+                          &reg.counter("slo.violations." + name),
+                          &reg.counter("slo.breaches." + name)};
+  }
 }
 
 void SloEngine::observe_job(SloClass cls, double virtual_latency_us,
@@ -61,6 +68,8 @@ void SloEngine::observe_job(SloClass cls, double virtual_latency_us,
 
   SloBreach breach;
   bool breached = false;
+  telemetry::Counter* shard_jobs = nullptr;
+  telemetry::Counter* shard_violations = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ClassState& st = state_[ci];
@@ -72,9 +81,20 @@ void SloEngine::observe_job(SloClass cls, double virtual_latency_us,
     }
     if (shard >= 0) {
       const auto si = static_cast<std::size_t>(shard);
-      if (si >= shard_state_.size()) shard_state_.resize(si + 1);
-      ++shard_state_[si].jobs;
-      if (violation) ++shard_state_[si].violations;
+      if (si >= shard_state_.size()) {
+        // New shard rows resolve their counters here, once.
+        auto& reg = telemetry::MetricsRegistry::global();
+        for (std::size_t s = shard_state_.size(); s <= si; ++s) {
+          const std::string sname = "shard" + std::to_string(s);
+          shard_state_.push_back({0, 0, &reg.counter("slo.jobs." + sname),
+                                  &reg.counter("slo.violations." + sname)});
+        }
+      }
+      ShardState& ss = shard_state_[si];
+      ++ss.jobs;
+      if (violation) ++ss.violations;
+      shard_jobs = ss.jobs_counter;
+      shard_violations = ss.violations_counter;
     }
     if (!tenant.empty()) {
       ShardState& ts = tenant_state_[tenant];
@@ -103,17 +123,13 @@ void SloEngine::observe_job(SloClass cls, double virtual_latency_us,
   }
 
   if (telemetry::telemetry_runtime_enabled()) {
-    auto& reg = telemetry::MetricsRegistry::global();
-    // Class names vary at runtime, so these bypass the static-caching
-    // AQ_* macros and hit the registry directly.
-    const std::string name = slo_class_name(cls);
-    reg.counter("slo.jobs." + name).add(1);
-    if (violation) reg.counter("slo.violations." + name).add(1);
-    if (breached) reg.counter("slo.breaches." + name).add(1);
-    if (shard >= 0) {
-      const std::string sname = "shard" + std::to_string(shard);
-      reg.counter("slo.jobs." + sname).add(1);
-      if (violation) reg.counter("slo.violations." + sname).add(1);
+    const ClassCounters& cc = class_counters_[ci];
+    cc.jobs->add(1);
+    if (violation) cc.violations->add(1);
+    if (breached) cc.breaches->add(1);
+    if (shard_jobs != nullptr) {
+      shard_jobs->add(1);
+      if (violation) shard_violations->add(1);
     }
   }
   if (breached && monitor_ != nullptr) {

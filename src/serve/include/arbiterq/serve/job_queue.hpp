@@ -130,7 +130,8 @@ class JobQueue {
   void abort();
 
   bool closed() const;
-  /// Batches resident across all lanes right now.
+  /// Batches resident across all lanes right now (a relaxed read that
+  /// takes no lock, so samplers never contend with the workers).
   std::size_t depth() const;
   std::size_t lane_depth(std::size_t lane) const;
   /// Batches resident for tenant slot `tenant` across all lanes.
@@ -214,7 +215,9 @@ class JobQueue {
   std::uint64_t push_seq_ = 0;
   std::uint64_t arbiter_grants_ = 0;
   std::size_t admitted_depth_ = 0;  ///< admission batches still resident
-  std::size_t total_depth_ = 0;
+  /// Resident batches. Written under mu_; atomic so depth() reads it
+  /// without the lock (the gauge sampler polls every shard per batch).
+  std::atomic<std::size_t> total_depth_{0};
   std::size_t in_flight_ = 0;
   std::size_t rejected_ = 0;
   bool closed_ = false;

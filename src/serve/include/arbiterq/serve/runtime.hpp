@@ -41,6 +41,7 @@
 // sequence (size the queue for the workload when reproducibility
 // matters).
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -62,6 +63,7 @@
 #include "arbiterq/serve/flight_recorder.hpp"
 #include "arbiterq/serve/job_queue.hpp"
 #include "arbiterq/serve/shard.hpp"
+#include "arbiterq/telemetry/metrics.hpp"
 #include "arbiterq/telemetry/timeseries.hpp"
 
 namespace arbiterq::serve {
@@ -87,6 +89,11 @@ struct TenantSpec {
   /// 0 = unlimited.
   double admit_rate_per_s = 0.0;
   double admit_burst = 1.0;
+
+  /// Throws std::invalid_argument unless weight, admit_rate_per_s and
+  /// admit_burst are finite and >= 0 (a weight of 0 is the background
+  /// marker, so it stays legal).
+  void validate() const;
 };
 
 struct ServeConfig {
@@ -118,8 +125,15 @@ struct ServeConfig {
   /// non-traced path to a handful of branches.
   int trace_sample_every = 0;
   /// Cadence, in *modeled* (virtual) microseconds of fleet execution
-  /// time, at which serve.queue.depth.sampled and the per-QPU
-  /// serve.qpu.inflight.q<i> gauges are refreshed. 0 disables sampling.
+  /// time, at which serve.virtual_time_us and serve.queue.depth.sampled
+  /// are refreshed; 0 disables them and the per-QPU
+  /// serve.qpu.inflight.q<i> gauges. One batch usually models more than
+  /// the default cadence, so a refresh runs about once per batch: it
+  /// sets two gauges through handles the constructor resolved and reads
+  /// each shard's depth without its lock. The inflight gauges are not
+  /// walked on a refresh; each QPU's worker sets its own (1 while it
+  /// runs a batch, 0 after), so the per-batch cost does not grow with
+  /// the fleet.
   double gauge_cadence_us = 1000.0;
   /// Shards the fleet is partitioned into (clamped to the fleet size).
   /// Shard s owns the contiguous QPU block [s*n/S, (s+1)*n/S) with its
@@ -177,6 +191,14 @@ struct ServeConfig {
   /// when workers race live admission — leave this off when the
   /// execution-chain latency contract matters.
   bool model_queue_wait = false;
+
+  /// Throws std::invalid_argument on a config the runtime cannot run:
+  /// shots_per_job < 1, trajectories < 1, max_retries < 0, a negative or
+  /// non-finite gauge_cadence_us, backoff_base_us, backoff_max_us or
+  /// deadline_us, or an invalid TenantSpec row. The ServingRuntime
+  /// constructor calls it, so a bad config fails on the caller's thread
+  /// instead of inside a worker.
+  void validate() const;
 };
 
 enum class JobStatus { kPending, kOk, kRejected, kExpired, kFailed };
@@ -192,7 +214,8 @@ struct JobSpec {
   /// Free-form tenant label for traces, flight records, and per-tenant
   /// counters. Sanitized (safe_label) before reaching any exporter.
   /// With a ServeConfig::tenants table, also the quota/arbiter slot
-  /// this job resolves to.
+  /// this job resolves to, and the per-tenant counters key off that
+  /// slot instead of the raw name.
   std::string tenant;
   /// Service class the attached SloEngine judges this job under.
   monitor::SloClass slo_class = monitor::SloClass::kBestEffort;
@@ -506,10 +529,37 @@ class ServingRuntime {
   std::vector<telemetry::TimeSeriesStore::Series*> ts_tenant_completed_;
   std::vector<telemetry::TimeSeriesStore::Series*> ts_tenant_latency_;
 
-  /// Last-published per-shard counter values (publish_shard_metrics
-  /// feeds registry counters by delta); guarded by publish_mu_.
+  // Metric handles. Every metric whose name is built at runtime is
+  // resolved once, in the constructor or (shard metrics) on the first
+  // publish_shard_metrics() call under publish_mu_, so no per-batch or
+  // per-job path builds a name or takes the registry's mutex.
+  telemetry::Gauge* virtual_time_gauge_ = nullptr;
+  telemetry::Gauge* sampled_depth_gauge_ = nullptr;
+  /// serve.qpu.inflight.q<i>, by QPU; set only by the QPU's worker.
+  std::vector<telemetry::Gauge*> inflight_gauges_;
+  /// serve.job.virtual_latency_us.<class>, indexed by SloClass.
+  std::array<telemetry::Histogram*, monitor::kNumSloClasses>
+      class_latency_{};
+  /// serve.tenant.jobs.<t>, indexed by tenant slot (tenant table only;
+  /// runs without one look the raw tenant name up per job).
+  std::vector<telemetry::Counter*> tenant_jobs_;
+
+  /// publish_shard_metrics() state, guarded by publish_mu_: per-shard
+  /// handles, the last-published values (counters are fed by delta) and
+  /// the per-tenant depth gauges.
+  struct ShardMetrics {
+    telemetry::Counter* admitted_batches = nullptr;
+    telemetry::Counter* reserve_rejects = nullptr;
+    telemetry::Counter* cross_shard_in = nullptr;
+    telemetry::Counter* cross_shard_out = nullptr;
+    telemetry::Counter* doorbell_wakeups = nullptr;
+    telemetry::Counter* doorbell_backstops = nullptr;
+    telemetry::Gauge* queue_depth = nullptr;
+    ShardStats published;
+  };
   std::mutex publish_mu_;
-  std::vector<ShardStats> published_;
+  std::vector<ShardMetrics> shard_metrics_;
+  std::vector<telemetry::Gauge*> tenant_depth_gauges_;  ///< by tenant slot
 
   // Job store: deque gives stable element addresses; guarded only for
   // push/index, the elements synchronize through their atomics.
@@ -533,8 +583,8 @@ class ServingRuntime {
 
   // Virtual-time gauge sampling: workers accumulate modeled execution
   // microseconds; whichever worker crosses the next cadence boundary
-  // wins the CAS and publishes the gauges.
-  std::unique_ptr<std::atomic<int>[]> inflight_;  ///< per QPU
+  // wins the CAS and publishes serve.virtual_time_us and the sampled
+  // depth.
   std::atomic<std::uint64_t> virtual_us_acc_{0};
   std::atomic<std::uint64_t> gauge_next_us_{0};
 

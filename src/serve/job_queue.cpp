@@ -44,7 +44,8 @@ void JobQueue::note_depth_locked() {
   if (depth_gauge_ == nullptr) {
     depth_gauge_ = &telemetry::MetricsRegistry::global().gauge(depth_metric_);
   }
-  depth_gauge_->set(static_cast<double>(total_depth_));
+  depth_gauge_->set(
+      static_cast<double>(total_depth_.load(std::memory_order_relaxed)));
 }
 
 std::unique_lock<std::mutex> JobQueue::lock_timed() const {
@@ -74,7 +75,7 @@ void JobQueue::enqueue_locked(ShotBatch batch, bool admitted) {
   cell(lane, pri, tenant).push_back(std::move(e));
   ++tenant_depth_[tenant];
   if (admitted) ++admitted_depth_;
-  ++total_depth_;
+  total_depth_.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool JobQueue::try_push(ShotBatch batch) {
@@ -176,7 +177,7 @@ bool JobQueue::pop_locked(std::unique_lock<std::mutex>& lock,
         *out = std::move(e.batch);
         if (was_admitted != nullptr) *was_admitted = e.admitted;
         --tenant_depth_[num_tenants_ == 1 ? 0 : tenant];
-        --total_depth_;
+        total_depth_.fetch_sub(1, std::memory_order_relaxed);
         if (e.admitted) --admitted_depth_;
         ++in_flight_;
         note_depth_locked();
@@ -230,8 +231,7 @@ bool JobQueue::closed() const {
 }
 
 std::size_t JobQueue::depth() const {
-  std::unique_lock<std::mutex> lock = lock_timed();
-  return total_depth_;
+  return total_depth_.load(std::memory_order_relaxed);
 }
 
 std::size_t JobQueue::lane_depth(std::size_t lane) const {

@@ -44,7 +44,38 @@ std::uint64_t trace_thread_hash() {
   return std::hash<std::thread::id>{}(std::this_thread::get_id());
 }
 
+/// Throws unless `v` is finite and >= 0 (NaN fails the comparison).
+void require_finite_nonneg(const char* owner, const char* field, double v) {
+  if (!(std::isfinite(v) && v >= 0.0)) {
+    throw std::invalid_argument(std::string(owner) + ": " + field +
+                                " must be finite and >= 0");
+  }
+}
+
 }  // namespace
+
+void TenantSpec::validate() const {
+  require_finite_nonneg("TenantSpec", "weight", weight);
+  require_finite_nonneg("TenantSpec", "admit_rate_per_s", admit_rate_per_s);
+  require_finite_nonneg("TenantSpec", "admit_burst", admit_burst);
+}
+
+void ServeConfig::validate() const {
+  if (shots_per_job <= 0) {
+    throw std::invalid_argument("ServeConfig: shots_per_job must be > 0");
+  }
+  if (trajectories < 1) {
+    throw std::invalid_argument("ServeConfig: trajectories must be >= 1");
+  }
+  if (max_retries < 0) {
+    throw std::invalid_argument("ServeConfig: max_retries must be >= 0");
+  }
+  require_finite_nonneg("ServeConfig", "gauge_cadence_us", gauge_cadence_us);
+  require_finite_nonneg("ServeConfig", "backoff_base_us", backoff_base_us);
+  require_finite_nonneg("ServeConfig", "backoff_max_us", backoff_max_us);
+  require_finite_nonneg("ServeConfig", "deadline_us", deadline_us);
+  for (const TenantSpec& t : tenants) t.validate();
+}
 
 std::string job_status_name(JobStatus status) {
   switch (status) {
@@ -88,9 +119,7 @@ ServingRuntime::ServingRuntime(
     throw std::invalid_argument(
         "ServingRuntime: weights/behavioral size mismatch");
   }
-  if (config_.shots_per_job <= 0) {
-    throw std::invalid_argument("ServingRuntime: shots_per_job must be > 0");
-  }
+  config_.validate();
   // Tenant table: configured rows plus the implicit catch-all slot that
   // absorbs unknown/unnamed tenants. Built before the shards so every
   // shard's queue is sized for the same tenant universe.
@@ -211,14 +240,30 @@ ServingRuntime::ServingRuntime(
                     telemetry::latency_buckets_us());
     }
   }
-  inflight_ = std::make_unique<std::atomic<int>[]>(executors_.size());
-  for (std::size_t q = 0; q < executors_.size(); ++q) {
-    inflight_[q].store(0, std::memory_order_relaxed);
-  }
+  // Metric handles for the per-batch and per-job paths (see the member
+  // comment): the names are built here, once.
+  auto& reg = telemetry::MetricsRegistry::global();
   if (config_.gauge_cadence_us > 0.0) {
     gauge_next_us_.store(
         static_cast<std::uint64_t>(config_.gauge_cadence_us),
         std::memory_order_relaxed);
+    virtual_time_gauge_ = &reg.gauge("serve.virtual_time_us");
+    sampled_depth_gauge_ = &reg.gauge("serve.queue.depth.sampled");
+    inflight_gauges_.reserve(executors_.size());
+    for (std::size_t q = 0; q < executors_.size(); ++q) {
+      inflight_gauges_.push_back(
+          &reg.gauge("serve.qpu.inflight.q" + std::to_string(q)));
+    }
+  }
+  for (std::size_t c = 0; c < monitor::kNumSloClasses; ++c) {
+    class_latency_[c] = &reg.histogram(
+        "serve.job.virtual_latency_us." +
+            monitor::slo_class_name(static_cast<monitor::SloClass>(c)),
+        telemetry::latency_buckets_us());
+  }
+  tenant_jobs_.reserve(tenants_.size());
+  for (const std::string& label : tenant_labels_) {
+    tenant_jobs_.push_back(&reg.counter("serve.tenant.jobs." + label));
   }
   AQ_GAUGE_SET("serve.fleet.alive", static_cast<double>(executors_.size()));
   if (config_.autostart) start();
@@ -686,10 +731,15 @@ void ServingRuntime::worker_main(std::size_t shard_index, std::size_t worker,
     // popped — the same lifetime the queue's own admission bound had.
     if (was_admitted) shard.release(1);
     const int qpu = batch.qpu;
-    std::atomic<int>& inflight = inflight_[static_cast<std::size_t>(qpu)];
-    inflight.fetch_add(1, std::memory_order_relaxed);
+    // This worker is the QPU's only writer, so it sets the QPU's
+    // inflight gauge directly: two stores per batch, no fleet walk.
+    telemetry::Gauge* inflight =
+        inflight_gauges_.empty() || !telemetry::telemetry_runtime_enabled()
+            ? nullptr
+            : inflight_gauges_[static_cast<std::size_t>(qpu)];
+    if (inflight != nullptr) inflight->set(1.0);
     process_batch(qpu, std::move(batch));
-    inflight.fetch_sub(1, std::memory_order_relaxed);
+    if (inflight != nullptr) inflight->set(0.0);
     shard.queue().task_done();
   }
 }
@@ -985,16 +1035,16 @@ void ServingRuntime::finalize(JobState& job) {
                        telemetry::latency_buckets_us(),
                        job.virtual_latency_us);
   if (telemetry::telemetry_runtime_enabled()) {
-    // Names vary at runtime (per class / per tenant), so these bypass
-    // the static-caching AQ_* macros and hit the registry directly.
-    auto& reg = telemetry::MetricsRegistry::global();
-    reg.histogram("serve.job.virtual_latency_us." +
-                      monitor::slo_class_name(job.slo_class),
-                  telemetry::latency_buckets_us())
-        .observe(job.virtual_latency_us);
-    if (!job.tenant.empty()) {
-      reg.counter("serve.tenant.jobs." +
-                  telemetry::safe_label(job.tenant, 64))
+    class_latency_[static_cast<std::size_t>(job.slo_class)]->observe(
+        job.virtual_latency_us);
+    if (!tenants_.empty()) {
+      tenant_jobs_[job.tenant_id]->add(1);
+    } else if (!job.tenant.empty()) {
+      // No tenant table: the raw name is the only key, so this one
+      // path still looks the counter up per job.
+      telemetry::MetricsRegistry::global()
+          .counter("serve.tenant.jobs." +
+                   telemetry::safe_label(job.tenant, 64))
           .add(1);
     }
   }
@@ -1103,16 +1153,8 @@ void ServingRuntime::advance_virtual_time(double us) {
           std::memory_order_relaxed)) {
     return;
   }
-  auto& reg = telemetry::MetricsRegistry::global();
-  reg.gauge("serve.virtual_time_us").set(static_cast<double>(total));
-  reg.gauge("serve.queue.depth.sampled")
-      .set(static_cast<double>(queue_depth()));
-  for (std::size_t q = 0; q < executors_.size(); ++q) {
-    // Per-QPU names vary at runtime: registry lookup, not AQ_GAUGE_SET.
-    reg.gauge("serve.qpu.inflight.q" + std::to_string(q))
-        .set(static_cast<double>(
-            inflight_[q].load(std::memory_order_relaxed)));
-  }
+  virtual_time_gauge_->set(static_cast<double>(total));
+  sampled_depth_gauge_->set(static_cast<double>(queue_depth()));
   AQ_COUNTER_ADD("serve.gauge.samples", 1);
 }
 
@@ -1161,42 +1203,48 @@ std::vector<ShardStats> ServingRuntime::shard_stats() const {
 
 void ServingRuntime::publish_shard_metrics() {
   if (!telemetry::telemetry_runtime_enabled()) return;
-  auto& reg = telemetry::MetricsRegistry::global();
   std::lock_guard<std::mutex> lock(publish_mu_);
-  if (published_.size() != shards_.size()) {
-    published_.assign(shards_.size(), ShardStats{});
+  if (shard_metrics_.empty()) {
+    // First publish: resolve every per-shard and per-tenant handle.
+    auto& reg = telemetry::MetricsRegistry::global();
+    shard_metrics_.resize(shards_.size());
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      const std::string p = "serve.shard" + std::to_string(s) + ".";
+      ShardMetrics& m = shard_metrics_[s];
+      m.admitted_batches = &reg.counter(p + "admitted_batches");
+      m.reserve_rejects = &reg.counter(p + "reserve_rejects");
+      m.cross_shard_in = &reg.counter(p + "cross_shard_in");
+      m.cross_shard_out = &reg.counter(p + "cross_shard_out");
+      m.doorbell_wakeups = &reg.counter(p + "doorbell_wakeups");
+      m.doorbell_backstops = &reg.counter(p + "doorbell_backstops");
+      m.queue_depth = &reg.gauge(p + "queue_depth");
+    }
+    for (const std::string& label : tenant_labels_) {
+      tenant_depth_gauges_.push_back(
+          &reg.gauge("serve.queue.depth.tenant." + label));
+    }
   }
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const ShardStats cur = shards_[s]->stats();
-    const ShardStats& prev = published_[s];
+    ShardMetrics& m = shard_metrics_[s];
+    const ShardStats& prev = m.published;
     // Monotone ShardStats tallies feed registry *counters* by delta so
     // a sampling Collector rolls them up into per-window rates.
-    const std::string p = "serve.shard" + std::to_string(s) + ".";
-    reg.counter(p + "admitted_batches")
-        .add(cur.admitted_batches - prev.admitted_batches);
-    reg.counter(p + "reserve_rejects")
-        .add(cur.reserve_rejects - prev.reserve_rejects);
-    reg.counter(p + "cross_shard_in")
-        .add(cur.cross_shard_in - prev.cross_shard_in);
-    reg.counter(p + "cross_shard_out")
-        .add(cur.cross_shard_out - prev.cross_shard_out);
-    reg.counter(p + "doorbell_wakeups")
-        .add(cur.doorbell_wakeups - prev.doorbell_wakeups);
-    reg.counter(p + "doorbell_backstops")
-        .add(cur.doorbell_backstops - prev.doorbell_backstops);
-    reg.gauge(p + "queue_depth")
-        .set(static_cast<double>(shards_[s]->queue().depth()));
-    published_[s] = cur;
+    m.admitted_batches->add(cur.admitted_batches - prev.admitted_batches);
+    m.reserve_rejects->add(cur.reserve_rejects - prev.reserve_rejects);
+    m.cross_shard_in->add(cur.cross_shard_in - prev.cross_shard_in);
+    m.cross_shard_out->add(cur.cross_shard_out - prev.cross_shard_out);
+    m.doorbell_wakeups->add(cur.doorbell_wakeups - prev.doorbell_wakeups);
+    m.doorbell_backstops->add(cur.doorbell_backstops -
+                              prev.doorbell_backstops);
+    m.queue_depth->set(static_cast<double>(shards_[s]->queue().depth()));
+    m.published = cur;
   }
   // Per-tenant resident depth, summed across the shards — the gauge a
   // sampling Collector folds into serve.queue.depth.tenant.<t> rollups.
-  for (std::size_t t = 0; t < tenants_.size(); ++t) {
-    std::size_t depth = 0;
-    for (const auto& shard : shards_) {
-      depth += shard->queue().tenant_depth(t);
-    }
-    reg.gauge("serve.queue.depth.tenant." + tenant_labels_[t])
-        .set(static_cast<double>(depth));
+  const std::vector<std::size_t> depths = tenant_queue_depths();
+  for (std::size_t t = 0; t < depths.size(); ++t) {
+    tenant_depth_gauges_[t]->set(static_cast<double>(depths[t]));
   }
 }
 

@@ -17,6 +17,7 @@
 #include "arbiterq/monitor/health.hpp"
 #include "arbiterq/monitor/introspect.hpp"
 #include "arbiterq/report/jsonl.hpp"
+#include "arbiterq/telemetry/metrics.hpp"
 #include "arbiterq/telemetry/sink.hpp"
 
 namespace {
@@ -136,6 +137,24 @@ TEST(FleetHealth, FlagsDriftedQpuAgainstBaseline) {
       rep.qpus[1].drift,
       core::behavioral_distance(baseline[1], drifted[1]));
   EXPECT_EQ(rep.drifting, 1u);
+}
+
+TEST(FleetHealth, DriftGaugesFollowEveryCalibration) {
+  telemetry::set_telemetry_runtime_enabled(true);
+  auto& reg = telemetry::MetricsRegistry::global();
+  monitor::FleetHealthMonitor mon(3);
+  const std::vector<core::BehavioralVector> baseline = {bv(0.10), bv(0.12),
+                                                        bv(0.14)};
+  mon.set_baseline(baseline);
+  for (const double shift : {0.01, 0.02}) {
+    std::vector<core::BehavioralVector> drifted = baseline;
+    drifted[2] = bv(0.14 + shift);
+    mon.observe_calibration(drifted);
+    const double d = core::behavioral_distance(baseline[2], drifted[2]);
+    EXPECT_DOUBLE_EQ(reg.gauge("monitor.qpu.drift.q2").value(), d);
+    EXPECT_DOUBLE_EQ(reg.gauge("monitor.qpu.drift.q0").value(), 0.0);
+    EXPECT_DOUBLE_EQ(reg.gauge("monitor.fleet.drift.max").value(), d);
+  }
 }
 
 TEST(FleetHealth, FlagsIsolatedQpuAndTracksChurn) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -225,15 +227,70 @@ class ServeFixture : public ::testing::Test {
 };
 
 TEST_F(ServeFixture, ConstructorValidation) {
-  ServeConfig cfg;
   std::vector<std::vector<double>> bad_weights(2);
   EXPECT_THROW(ServingRuntime(trainer_->executors(), bad_weights,
-                              trainer_->behavioral_vectors(), cfg),
+                              trainer_->behavioral_vectors(), ServeConfig{}),
                std::invalid_argument);
-  cfg.shots_per_job = 0;
-  EXPECT_THROW(ServingRuntime(trainer_->executors(), weights_,
-                              trainer_->behavioral_vectors(), cfg),
-               std::invalid_argument);
+  // One row per bad ServeConfig / TenantSpec field.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<std::string, std::function<void(ServeConfig&)>>>
+      rows = {
+          {"shots_per_job=0", [](ServeConfig& c) { c.shots_per_job = 0; }},
+          {"trajectories=0", [](ServeConfig& c) { c.trajectories = 0; }},
+          {"max_retries=-1", [](ServeConfig& c) { c.max_retries = -1; }},
+          {"gauge_cadence_us=nan",
+           [&](ServeConfig& c) { c.gauge_cadence_us = nan; }},
+          {"gauge_cadence_us=inf",
+           [&](ServeConfig& c) { c.gauge_cadence_us = inf; }},
+          {"gauge_cadence_us=-1",
+           [](ServeConfig& c) { c.gauge_cadence_us = -1.0; }},
+          {"backoff_base_us=nan",
+           [&](ServeConfig& c) { c.backoff_base_us = nan; }},
+          {"backoff_base_us=-1",
+           [](ServeConfig& c) { c.backoff_base_us = -1.0; }},
+          {"backoff_max_us=inf",
+           [&](ServeConfig& c) { c.backoff_max_us = inf; }},
+          {"backoff_max_us=nan",
+           [&](ServeConfig& c) { c.backoff_max_us = nan; }},
+          {"deadline_us=nan", [&](ServeConfig& c) { c.deadline_us = nan; }},
+          {"deadline_us=-1", [](ServeConfig& c) { c.deadline_us = -1.0; }},
+          {"tenant weight=nan",
+           [&](ServeConfig& c) { c.tenants = {{"t", nan}}; }},
+          {"tenant weight=-1",
+           [](ServeConfig& c) { c.tenants = {{"t", -1.0}}; }},
+          {"tenant admit_rate_per_s=inf",
+           [&](ServeConfig& c) { c.tenants = {{"t", 1.0, 0, inf}}; }},
+          {"tenant admit_rate_per_s=-1",
+           [](ServeConfig& c) { c.tenants = {{"t", 1.0, 0, -1.0}}; }},
+          {"tenant admit_burst=nan",
+           [&](ServeConfig& c) { c.tenants = {{"t", 1.0, 0, 10.0, nan}}; }},
+          {"tenant admit_burst=-1",
+           [](ServeConfig& c) { c.tenants = {{"t", 1.0, 0, 10.0, -1.0}}; }},
+      };
+  for (const auto& [name, mutate] : rows) {
+    ServeConfig cfg;
+    cfg.shots_per_job = 32;
+    cfg.trajectories = 2;
+    mutate(cfg);
+    EXPECT_THROW(cfg.validate(), std::invalid_argument) << name;
+    // The constructor validates before any worker starts, so the bad
+    // field surfaces on this thread instead of aborting the process.
+    EXPECT_THROW(ServingRuntime(trainer_->executors(), weights_,
+                                trainer_->behavioral_vectors(), cfg),
+                 std::invalid_argument)
+        << name;
+  }
+  // The boundary values stay legal; weight 0 marks a background tenant.
+  ServeConfig edge;
+  edge.max_retries = 0;
+  edge.gauge_cadence_us = 0.0;
+  edge.backoff_base_us = 0.0;
+  edge.backoff_max_us = 0.0;
+  edge.deadline_us = 0.0;
+  edge.trajectories = 1;
+  edge.tenants = {{"background", 0.0, 0, 0.0, 0.0}};
+  EXPECT_NO_THROW(edge.validate());
 }
 
 TEST_F(ServeFixture, FaultFreeRunCompletesEveryJob) {
@@ -611,6 +668,13 @@ TEST_F(ServeFixture, VirtualTimeGaugesSampleOnCadence) {
   EXPECT_TRUE(saw_depth);
   EXPECT_TRUE(saw_inflight);
   EXPECT_TRUE(saw_vt);
+  // Every QPU's inflight gauge is resolved, not just the ones sampled busy.
+  std::set<std::string> gauges;
+  for (const telemetry::GaugeSnapshot& g : snap.gauges) gauges.insert(g.name);
+  for (std::size_t q = 0; q < trainer_->fleet_size(); ++q) {
+    EXPECT_EQ(gauges.count("serve.qpu.inflight.q" + std::to_string(q)), 1U)
+        << q;
+  }
 }
 
 TEST_F(ServeFixture, TenantCountersAreSanitized) {
@@ -632,6 +696,126 @@ TEST_F(ServeFixture, TenantCountersAreSanitized) {
     if (c.name == "serve.tenant.jobs.evil_tenant") tenant_jobs = c.value;
   }
   EXPECT_DOUBLE_EQ(tenant_jobs, 3.0);
+}
+
+TEST_F(ServeFixture, UnknownTenantsCountUnderTheCatchAllSlot) {
+  telemetry::set_telemetry_runtime_enabled(true);
+  ServeConfig cfg;
+  cfg.shots_per_job = 32;
+  cfg.trajectories = 2;
+  cfg.tenants = {TenantSpec{"alpha"}};
+  const auto tenant_counters = [] {
+    std::map<std::string, std::uint64_t> out;
+    for (const telemetry::CounterSnapshot& c :
+         telemetry::MetricsRegistry::global().snapshot().counters) {
+      if (c.name.rfind("serve.tenant.jobs.", 0) == 0) out[c.name] = c.value;
+    }
+    return out;
+  };
+  std::set<std::string> names_after_first;
+  for (const char* unknown : {"ghost-one", "ghost-two"}) {
+    telemetry::MetricsRegistry::global().reset_values();
+    std::vector<JobSpec> jobs = make_jobs(4);
+    jobs[0].tenant = "alpha";
+    for (std::size_t i = 1; i < jobs.size(); ++i) jobs[i].tenant = unknown;
+    run(cfg, jobs);
+    const std::map<std::string, std::uint64_t> counters = tenant_counters();
+    EXPECT_EQ(counters.at("serve.tenant.jobs.alpha"), 1U);
+    EXPECT_EQ(counters.at("serve.tenant.jobs.other"), 3U);
+    std::set<std::string> names;
+    for (const auto& [name, value] : counters) {
+      EXPECT_EQ(name.find("ghost"), std::string::npos) << name;
+      names.insert(name);
+    }
+    // A second unknown name registers nothing new.
+    if (names_after_first.empty()) {
+      names_after_first = names;
+    } else {
+      EXPECT_EQ(names, names_after_first);
+    }
+  }
+}
+
+/// Per-job outputs that must not depend on telemetry.
+void expect_same_results(const std::vector<JobResult>& a,
+                         const std::vector<JobResult>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].status, b[i].status) << i;
+    EXPECT_EQ(a[i].probability, b[i].probability) << i;
+    EXPECT_EQ(a[i].loss, b[i].loss) << i;
+    EXPECT_EQ(a[i].virtual_latency_us, b[i].virtual_latency_us) << i;
+    EXPECT_EQ(a[i].retries, b[i].retries) << i;
+    EXPECT_EQ(a[i].torus, b[i].torus) << i;
+  }
+}
+
+TEST_F(ServeFixture, MetricHandlesSurviveFleetResizeAndReset) {
+  // A second, smaller fleet: its runtime resolves a subset of the
+  // inflight gauges the first one registered.
+  const core::DistributedTrainer small(model_,
+                                       device::table3_fleet_subset(4, 2),
+                                       core::TrainConfig{});
+  const std::vector<std::vector<double>> small_weights(
+      weights_.begin(), weights_.begin() + 4);
+  ServeConfig cfg;
+  cfg.shots_per_job = 64;
+  cfg.trajectories = 2;
+  cfg.gauge_cadence_us = 100.0;
+  cfg.tenants = {TenantSpec{"alpha"}, TenantSpec{"beta"}};
+  std::vector<JobSpec> jobs = make_jobs(9);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].tenant = i % 3 == 0 ? "alpha" : "beta";
+    jobs[i].slo_class = static_cast<monitor::SloClass>(i % 3);
+  }
+  const auto serve_once = [&](const core::DistributedTrainer& trainer,
+                              const std::vector<std::vector<double>>& w) {
+    ServingRuntime runtime(trainer.executors(), w,
+                           trainer.behavioral_vectors(), cfg);
+    for (const JobSpec& spec : jobs) runtime.submit(spec);
+    runtime.drain();
+    return runtime.results();
+  };
+  const std::pair<const core::DistributedTrainer*,
+                  const std::vector<std::vector<double>>*>
+      fleets[] = {{trainer_.get(), &weights_}, {&small, &small_weights}};
+  for (const auto& [trainer, w] : fleets) {
+    telemetry::set_telemetry_runtime_enabled(true);
+    telemetry::MetricsRegistry::global().reset_values();
+    const std::vector<JobResult> on = serve_once(*trainer, *w);
+    const telemetry::MetricsSnapshot snap =
+        telemetry::MetricsRegistry::global().snapshot();
+    std::map<std::string, double> gauges;
+    for (const telemetry::GaugeSnapshot& g : snap.gauges) {
+      gauges[g.name] = g.value;
+    }
+    EXPECT_GT(gauges["serve.virtual_time_us"], 0.0);
+    for (std::size_t q = 0; q < trainer->fleet_size(); ++q) {
+      EXPECT_EQ(gauges.count("serve.qpu.inflight.q" + std::to_string(q)),
+                1U);
+    }
+    std::map<std::string, std::uint64_t> counters;
+    for (const telemetry::CounterSnapshot& c : snap.counters) {
+      counters[c.name] = c.value;
+    }
+    EXPECT_EQ(counters["serve.tenant.jobs.alpha"], 3U);
+    EXPECT_EQ(counters["serve.tenant.jobs.beta"], 6U);
+    EXPECT_EQ(counters["serve.tenant.jobs.other"], 0U);
+    std::map<std::string, std::uint64_t> histograms;
+    for (const telemetry::HistogramSnapshot& h : snap.histograms) {
+      histograms[h.name] = h.count;
+    }
+    for (std::size_t c = 0; c < monitor::kNumSloClasses; ++c) {
+      const std::string name =
+          "serve.job.virtual_latency_us." +
+          monitor::slo_class_name(static_cast<monitor::SloClass>(c));
+      EXPECT_EQ(histograms[name], 3U) << name;
+    }
+    telemetry::set_telemetry_runtime_enabled(false);
+    const std::vector<JobResult> off = serve_once(*trainer, *w);
+    telemetry::set_telemetry_runtime_enabled(true);
+    expect_same_results(on, off);
+  }
 }
 
 TEST(JobStatusName, CoversAllStates) {

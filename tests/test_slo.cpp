@@ -5,6 +5,7 @@
 #include "arbiterq/monitor/slo.hpp"
 
 #include <cmath>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -148,15 +149,21 @@ TEST(SloEngine, CountersReachTheMetricsRegistry) {
   telemetry::MetricsRegistry::global().reset_values();
   SloEngine engine(tight_policy());
   engine.observe_job(SloClass::kLatencyBound, 150.0, true);
+  // Shard 2 appears before shard 0: growing the table resolves both.
+  engine.observe_job(SloClass::kLatencyBound, 150.0, true, 2);
+  engine.observe_job(SloClass::kLatencyBound, 50.0, true, 0);
   const telemetry::MetricsSnapshot snap =
       telemetry::MetricsRegistry::global().snapshot();
-  double jobs = -1.0, violations = -1.0;
+  std::map<std::string, double> counters;
   for (const telemetry::CounterSnapshot& c : snap.counters) {
-    if (c.name == "slo.jobs.latency_bound") jobs = c.value;
-    if (c.name == "slo.violations.latency_bound") violations = c.value;
+    counters[c.name] = static_cast<double>(c.value);
   }
-  EXPECT_DOUBLE_EQ(jobs, 1.0);
-  EXPECT_DOUBLE_EQ(violations, 1.0);
+  EXPECT_DOUBLE_EQ(counters["slo.jobs.latency_bound"], 3.0);
+  EXPECT_DOUBLE_EQ(counters["slo.violations.latency_bound"], 2.0);
+  EXPECT_DOUBLE_EQ(counters["slo.jobs.shard2"], 1.0);
+  EXPECT_DOUBLE_EQ(counters["slo.violations.shard2"], 1.0);
+  EXPECT_DOUBLE_EQ(counters["slo.jobs.shard0"], 1.0);
+  EXPECT_DOUBLE_EQ(counters["slo.violations.shard0"], 0.0);
 }
 
 TEST(SloReport, TableAndJsonlCarryEveryClass) {
