@@ -20,8 +20,10 @@
 // production path under scalar and SIMD kernels against the circuit-walk
 // test oracle on the default benchmark circuits, verifies probabilities,
 // losses and adjoint gradients are bit-identical to the oracle, and
-// records the forward/gradient/combined speedups in BENCH_perf.json
-// (exit code 2 if any output diverges).
+// records the forward/gradient/combined speedups in BENCH_perf.json; a
+// sampler row checks the trajectory sampler's ones counts against the
+// block oracle (tests/sampler_oracle.hpp) and times both (exit code 2
+// if any output diverges).
 
 #include <benchmark/benchmark.h>
 
@@ -64,6 +66,7 @@
 #include "arbiterq/transpile/optimize.hpp"
 #include "arbiterq/transpile/transpiler.hpp"
 #include "executor_oracle.hpp"
+#include "sampler_oracle.hpp"
 
 namespace {
 
@@ -552,6 +555,111 @@ PlanAbPoint measure_plan_ab(int qubits, int forward_iters,
   return p;
 }
 
+// Sampler row: the production trajectory sampler (branch-on-divergence
+// walk) against the block oracle (tests/sampler_oracle.hpp), which walks
+// every trajectory through every gate. Shape: the serve-mnist fleet, a
+// 6q x 2l CRz model on table3_fleet_cycled(12) with one 85-shot x
+// 16-trajectory torus slot per call, plus a 10q x 2l row. Ones counts
+// must match exactly (exit code 2 otherwise).
+
+constexpr int kSamplerShots = 256 / 3;
+constexpr int kSamplerTrajectories = 16;
+
+struct SamplerAbPoint {
+  int qubits = 0;
+  int qpus = 0;
+  int calls = 0;  ///< sampler calls per rep, across all QPUs
+  double production_median_s = 0.0;
+  double oracle_median_s = 0.0;
+  /// Evolved columns x gates per call (production: the
+  /// sim.sample.column_gates counter; oracle: trajectories x gates).
+  double production_column_gates = 0.0;
+  double oracle_column_gates = 0.0;
+  bool identical = true;
+};
+
+SamplerAbPoint measure_sampler_ab(int qubits, int qpus, int calls_per_qpu) {
+  const qnn::QnnModel m(qnn::Backbone::kCRz, qubits, 2);
+  std::vector<qnn::QnnExecutor> exs;
+  for (const auto& qpu : device::table3_fleet_cycled(qpus, qubits)) {
+    exs.emplace_back(m, qpu);
+  }
+  math::Rng rng(29u + static_cast<std::uint64_t>(qubits));
+  std::vector<std::vector<double>> params;
+  std::vector<sim::StatevectorSimulator> sims;
+  for (const auto& ex : exs) {
+    std::vector<double> f(static_cast<std::size_t>(qubits));
+    std::vector<double> w(static_cast<std::size_t>(m.num_weights()));
+    for (double& v : f) v = rng.uniform(0.0, 1.0);
+    for (double& v : w) v = rng.uniform(-1.5, 1.5);
+    params.push_back(m.pack_params(f, w));
+    sims.emplace_back(ex.noise());
+  }
+  sim::ShotOptions opts;
+  opts.shots = kSamplerShots;
+  opts.trajectories = kSamplerTrajectories;
+  sim::BatchedWorkspace ws;
+  sim::BatchedWorkspace oracle_ws;
+  const auto run = [&](bool production, std::size_t e, std::uint64_t seed) {
+    math::Rng r(seed);
+    const sim::ExecPlan& plan = *exs[e].plan();
+    const int q = exs[e].readout_qubit();
+    return production ? sims[e].sample_marginal_ones(plan, params[e], q, opts,
+                                                     r, ws)
+                      : oracle::block_sample_marginal_ones(
+                            sims[e], plan, params[e], q, opts, r, oracle_ws);
+  };
+
+  SamplerAbPoint p;
+  p.qubits = qubits;
+  p.qpus = qpus;
+  p.calls = qpus * calls_per_qpu;
+  // Bitwise check on every call the clocks replay, plus the column-gate
+  // counts of one pass.
+  telemetry::Counter& column_gates =
+      telemetry::MetricsRegistry::global().counter("sim.sample.column_gates");
+  const std::uint64_t before = column_gates.value();
+  double oracle_gates = 0.0;
+  for (std::size_t e = 0; e < exs.size(); ++e) {
+    for (int c = 0; c < calls_per_qpu; ++c) {
+      const auto seed = static_cast<std::uint64_t>(1000 * e + c);
+      p.identical &= run(true, e, seed) == run(false, e, seed);
+      oracle_gates += static_cast<double>(kSamplerTrajectories) *
+                      static_cast<double>(exs[e].plan()->gate_count());
+    }
+  }
+  p.production_column_gates =
+      static_cast<double>(column_gates.value() - before) / p.calls;
+  p.oracle_column_gates = oracle_gates / p.calls;
+
+  std::uint64_t sink = 0;
+  const auto clock = [&](bool production) {
+    std::vector<double> reps;
+    for (int rep = 0; rep < kAbReps; ++rep) {
+      const double t0 = now_seconds();
+      for (std::size_t e = 0; e < exs.size(); ++e) {
+        for (int c = 0; c < calls_per_qpu; ++c) {
+          sink += run(production, e, static_cast<std::uint64_t>(1000 * e + c));
+        }
+      }
+      reps.push_back(now_seconds() - t0);
+    }
+    return median_of(reps);
+  };
+  p.production_median_s = clock(true);
+  p.oracle_median_s = clock(false);
+  benchmark::DoNotOptimize(sink);
+  std::printf("  sampler q=%d (%d QPUs, %d shots x %d trajectories): branch "
+              "walk vs block oracle %.2fx | column-gates/call %.0f vs %.0f "
+              "(%.0f%%)  identical=%s\n",
+              qubits, qpus, kSamplerShots, kSamplerTrajectories,
+              p.oracle_median_s / p.production_median_s,
+              p.production_column_gates, p.oracle_column_gates,
+              100.0 * p.production_column_gates / p.oracle_column_gates,
+              p.identical ? "yes" : "NO");
+  return p;
+}
+
 int run_plan_ab_mode(const std::string& out_path) {
   std::printf("plan A/B mode: production path scalar/SIMD vs circuit-walk "
               "oracle (arch %s, strict=%s)\n",
@@ -571,8 +679,14 @@ int run_plan_ab_mode(const std::string& out_path) {
   // each circuit counts once (the standard suite metric); a total-time
   // ratio would just re-measure the largest register, whose per-call
   // cost dwarfs the smallest.
+  const std::vector<SamplerAbPoint> sampler = {
+      measure_sampler_ab(6, 12, /*calls_per_qpu=*/40),
+      measure_sampler_ab(10, 4, /*calls_per_qpu=*/10),
+  };
+
   double log_fwd = 0.0, log_grad = 0.0, log_combined = 0.0, log_simd = 0.0;
   bool identical = true;
+  for (const auto& p : sampler) identical &= p.identical;
   for (const auto& p : points) {
     log_fwd += std::log(p.oracle.forward_median_s / p.simd.forward_median_s);
     log_grad +=
@@ -642,6 +756,22 @@ int run_plan_ab_mode(const std::string& out_path) {
         p.oracle.gradient_median_s / p.simd.gradient_median_s,
         combined_ratio(p.oracle, p.simd), combined_ratio(p.scalar, p.simd),
         p.identical ? "true" : "false");
+  }
+  std::fprintf(f, "\n  ],\n  \"sampler\": [");
+  for (std::size_t i = 0; i < sampler.size(); ++i) {
+    const SamplerAbPoint& p = sampler[i];
+    std::fprintf(
+        f,
+        "%s\n    {\"qubits\": %d, \"layers\": 2, \"qpus\": %d, "
+        "\"shots\": %d, \"trajectories\": %d, \"calls\": %d, "
+        "\"reps\": %d, \"production_median_seconds\": %.6f, "
+        "\"oracle_median_seconds\": %.6f, \"speedup\": %.4f, "
+        "\"production_column_gates_per_call\": %.1f, "
+        "\"oracle_column_gates_per_call\": %.1f, \"identical\": %s}",
+        i ? "," : "", p.qubits, p.qpus, kSamplerShots, kSamplerTrajectories,
+        p.calls, kAbReps, p.production_median_s, p.oracle_median_s,
+        p.oracle_median_s / p.production_median_s, p.production_column_gates,
+        p.oracle_column_gates, p.identical ? "true" : "false");
   }
   std::fprintf(f, "\n  ]\n}\n");
   std::fclose(f);

@@ -103,6 +103,13 @@ struct TrainConfig {
   /// without threading a second sink through each call site. Purely
   /// observational: training results are identical with or without it.
   telemetry::TrainingTelemetry* monitor = nullptr;
+
+  /// Throws std::invalid_argument unless learning_rate is finite and
+  /// > 0; epochs >= 1 and batch_size >= 1; kappa, distance_threshold,
+  /// gradient_shot_noise and drift_sigma are finite and >= 0;
+  /// gradient_prune_ratio and offline_probability lie in [0, 1]; and
+  /// drift_interval >= 0. The DistributedTrainer constructor calls it.
+  void validate() const;
 };
 
 struct TrainResult {
@@ -123,7 +130,8 @@ struct TrainResult {
 class DistributedTrainer {
  public:
   /// Compiles the model on every device and builds behavioral vectors +
-  /// the similarity graph up front.
+  /// the similarity graph up front. Throws std::invalid_argument if
+  /// config.validate() does.
   DistributedTrainer(const qnn::QnnModel& model,
                      std::vector<device::Qpu> fleet, TrainConfig config);
 

@@ -6,6 +6,7 @@
 #include <numbers>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "arbiterq/data/dataset.hpp"
 #include "arbiterq/telemetry/metrics.hpp"
@@ -102,10 +103,56 @@ std::string strategy_name(Strategy s) {
   throw std::logic_error("strategy_name: unknown strategy");
 }
 
+namespace {
+
+/// Throws unless `v` is finite and >= 0 (NaN fails the comparison).
+void require_finite_nonneg(const char* field, double v) {
+  if (!(std::isfinite(v) && v >= 0.0)) {
+    throw std::invalid_argument(std::string("TrainConfig: ") + field +
+                                " must be finite and >= 0");
+  }
+}
+
+void require_unit_interval(const char* field, double v) {
+  if (!(v >= 0.0 && v <= 1.0)) {
+    throw std::invalid_argument(std::string("TrainConfig: ") + field +
+                                " must lie in [0, 1]");
+  }
+}
+
+const TrainConfig& validated(const TrainConfig& config) {
+  config.validate();
+  return config;
+}
+
+}  // namespace
+
+void TrainConfig::validate() const {
+  if (!(std::isfinite(learning_rate) && learning_rate > 0.0)) {
+    throw std::invalid_argument(
+        "TrainConfig: learning_rate must be finite and > 0");
+  }
+  if (epochs < 1) {
+    throw std::invalid_argument("TrainConfig: epochs must be >= 1");
+  }
+  if (batch_size < 1) {
+    throw std::invalid_argument("TrainConfig: batch_size must be >= 1");
+  }
+  require_finite_nonneg("kappa", kappa);
+  require_finite_nonneg("distance_threshold", distance_threshold);
+  require_finite_nonneg("gradient_shot_noise", gradient_shot_noise);
+  require_finite_nonneg("drift_sigma", drift_sigma);
+  require_unit_interval("gradient_prune_ratio", gradient_prune_ratio);
+  require_unit_interval("offline_probability", offline_probability);
+  if (drift_interval < 0) {
+    throw std::invalid_argument("TrainConfig: drift_interval must be >= 0");
+  }
+}
+
 DistributedTrainer::DistributedTrainer(const qnn::QnnModel& model,
                                        std::vector<device::Qpu> fleet,
                                        TrainConfig config)
-    : config_(config),
+    : config_(validated(config)),
       executors_(build_executors(
           model, fleet,
           qnn::ExecutorOptions{config.error_mitigation, config.exec},

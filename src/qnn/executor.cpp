@@ -112,9 +112,9 @@ double QnnExecutor::sampled_probability(const std::vector<double>& features,
   sim::ShotOptions opts;
   opts.shots = shots;
   opts.trajectories = trajectories;
-  // Trajectory-batched sampler: evolves trajectory blocks through one
-  // BatchedStatevector with a batch-invariant pre-drawn RNG schedule.
-  // Readout flips are applied per shot inside the sampler.
+  // Trajectory sampler: pre-draws every random decision, then evolves
+  // each distinct noise path once, forked from the shared prefix where
+  // trajectories diverge. Readout flips are applied per shot inside it.
   auto ws = batched_workspaces_.acquire();
   const double p = simulator_.sampled_probability_of_one(
       *plan_, params, readout_qubit_, opts, rng, *ws);

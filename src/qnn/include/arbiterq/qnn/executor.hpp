@@ -15,8 +15,9 @@
 //    the method real hardware would run; validated against the adjoint.
 //
 // Everything executes one way: through a compiled sim::ExecPlan, with
-// multi-sample work (dataset losses, adjoint gradients, trajectory
-// sampling) sample-batched kBatchBlock columns per register sweep.
+// dataset losses and adjoint gradients sample-batched kBatchBlock
+// columns per register sweep, and trajectory sampling evolving each
+// distinct noise path once in a column of a batched register.
 // Single-sample probability() runs the unbatched plan. The per-call
 // circuit walk survives only as the test oracle
 // (tests/executor_oracle.hpp), which every output matches bit-for-bit.

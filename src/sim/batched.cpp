@@ -1,7 +1,7 @@
-// Sample-batched forward execution (batched.hpp) plus the plan-based,
-// trajectory-batched marginal sampler. The ExecPlan batched entry
-// points live here as member functions so the stream/slot internals
-// stay private to the plan.
+// Sample-batched forward execution (batched.hpp) plus the plan-based
+// trajectory sampler (a branch-on-divergence walk). The ExecPlan
+// batched entry points live here as member functions so the
+// stream/slot internals stay private to the plan.
 
 #include "arbiterq/sim/batched.hpp"
 
@@ -51,128 +51,103 @@ inline bool is_diag4(const Mat4& m) noexcept {
 // ---------------------------------------------------------------------------
 // BatchedStatevector
 
-void BatchedStatevector::configure(int num_qubits, std::size_t batch) {
+void BatchedStatevector::configure(int num_qubits, std::size_t batch,
+                                   std::size_t live) {
   if (num_qubits <= 0 || num_qubits > Statevector::kMaxQubits) {
     throw std::invalid_argument("BatchedStatevector: unsupported qubit count");
   }
-  if (batch == 0) {
-    throw std::invalid_argument("BatchedStatevector: batch must be > 0");
+  if (batch == 0 || live == 0 || live > batch) {
+    throw std::invalid_argument(
+        "BatchedStatevector: need 0 < live <= batch");
   }
   num_qubits_ = num_qubits;
   dim_ = std::size_t{1} << num_qubits;
   batch_ = batch;
+  live_ = live;
   amps_.assign(dim_ * batch_, Complex{0.0, 0.0});
   for (std::size_t b = 0; b < batch_; ++b) amps_[b] = 1.0;
   assert(reinterpret_cast<std::uintptr_t>(amps_.data()) % kAmpAlignment == 0 &&
          "amplitude storage must honor kAmpAlignment");
 }
 
+std::size_t BatchedStatevector::fork_column(std::size_t src) {
+  if (src >= live_ || live_ == batch_) {
+    throw std::out_of_range("BatchedStatevector: no column to fork into");
+  }
+  for (std::size_t i = 0; i < dim_; ++i) row(i)[live_] = row(i)[src];
+  return live_++;
+}
+
 void BatchedStatevector::apply_mat2_all(const Mat2& m, int q) {
-  const std::size_t bit = std::size_t{1} << q;
   if (is_diag2(m)) {
-    const Complex d0 = m[0];
-    const Complex d1 = m[3];
-    for (std::size_t i = 0; i < dim_; ++i) {
-      kernels::batched_scale(row(i), (i & bit) ? d1 : d0, batch_);
-    }
+    const Complex d[2] = {m[0], m[3]};
+    kernels::batched_diag(amps_.data(), dim_, batch_, live_, d, 0,
+                          std::size_t{1} << q);
     return;
   }
-  for (std::size_t p = 0; p < dim_ >> 1; ++p) {
-    const std::size_t i0 = insert_zero_bit(p, q);
-    kernels::batched_mat2(row(i0), row(i0 | bit), m, batch_);
-  }
+  kernels::batched_mat2(amps_.data(), dim_, batch_, live_, m, q);
 }
 
 void BatchedStatevector::apply_mat4_all(const Mat4& m, int qb, int qa) {
-  const std::size_t bit_b = std::size_t{1} << qb;
-  const std::size_t bit_a = std::size_t{1} << qa;
   if (is_diag4(m)) {
     const Complex d[4] = {m[0], m[5], m[10], m[15]};
-    for (std::size_t i = 0; i < dim_; ++i) {
-      const unsigned sel = ((i & bit_b) ? 2U : 0U) | ((i & bit_a) ? 1U : 0U);
-      kernels::batched_scale(row(i), d[sel], batch_);
-    }
+    kernels::batched_diag(amps_.data(), dim_, batch_, live_, d,
+                          std::size_t{1} << qb, std::size_t{1} << qa);
     return;
   }
-  const int q_lo = qb < qa ? qb : qa;
-  const int q_hi = qb < qa ? qa : qb;
-  for (std::size_t g = 0; g < dim_ >> 2; ++g) {
-    const std::size_t i00 = insert_zero_bit(insert_zero_bit(g, q_lo), q_hi);
-    kernels::batched_mat4(row(i00), row(i00 | bit_a), row(i00 | bit_b),
-                          row(i00 | bit_b | bit_a), m, batch_);
-  }
+  kernels::batched_mat4(amps_.data(), dim_, batch_, live_, m, qb, qa);
 }
 
 void BatchedStatevector::apply_mat2_each(const Mat2* mats, int q) {
-  const std::size_t bit = std::size_t{1} << q;
-  diag_scratch_.resize(2 * batch_);
+  diag_scratch_.resize(2 * live_);
   // Diagonal dispatch is per-matrix (an RZ column sits next to an RX
-  // column): partition the batch into maximal runs of equal dispatch so
-  // every column takes exactly the kernel it would take unbatched.
+  // column): partition the live columns into maximal runs of equal
+  // dispatch so every column takes exactly the kernel it would take
+  // unbatched.
   std::size_t b = 0;
-  while (b < batch_) {
+  while (b < live_) {
     const bool diag = is_diag2(mats[b]);
     std::size_t e = b + 1;
-    while (e < batch_ && is_diag2(mats[e]) == diag) ++e;
+    while (e < live_ && is_diag2(mats[e]) == diag) ++e;
     const std::size_t count = e - b;
     if (diag) {
-      Complex* const d0s = diag_scratch_.data();
-      Complex* const d1s = diag_scratch_.data() + batch_;
+      Complex* const ds = diag_scratch_.data();
       for (std::size_t k = 0; k < count; ++k) {
-        d0s[k] = mats[b + k][0];
-        d1s[k] = mats[b + k][3];
+        ds[k] = mats[b + k][0];
+        ds[count + k] = mats[b + k][3];
       }
-      for (std::size_t i = 0; i < dim_; ++i) {
-        kernels::batched_scale_each(row(i) + b, (i & bit) ? d1s : d0s, count);
-      }
+      kernels::batched_diag_each(amps_.data() + b, dim_, batch_, count, ds,
+                                 0, std::size_t{1} << q);
     } else {
-      for (std::size_t p = 0; p < dim_ >> 1; ++p) {
-        const std::size_t i0 = insert_zero_bit(p, q);
-        kernels::batched_mat2_each(row(i0) + b, row(i0 | bit) + b, mats + b,
-                                   count);
-      }
+      kernels::batched_mat2_each(amps_.data() + b, dim_, batch_, count,
+                                 mats + b, q);
     }
     b = e;
   }
 }
 
 void BatchedStatevector::apply_mat4_each(const Mat4* mats, int qb, int qa) {
-  const std::size_t bit_b = std::size_t{1} << qb;
-  const std::size_t bit_a = std::size_t{1} << qa;
-  const int q_lo = qb < qa ? qb : qa;
-  const int q_hi = qb < qa ? qa : qb;
-  diag_scratch_.resize(4 * batch_);
+  diag_scratch_.resize(4 * live_);
   std::size_t b = 0;
-  while (b < batch_) {
+  while (b < live_) {
     const bool diag = is_diag4(mats[b]);
     std::size_t e = b + 1;
-    while (e < batch_ && is_diag4(mats[e]) == diag) ++e;
+    while (e < live_ && is_diag4(mats[e]) == diag) ++e;
     const std::size_t count = e - b;
     if (diag) {
-      Complex* ds[4];
-      for (unsigned s = 0; s < 4; ++s) {
-        ds[s] = diag_scratch_.data() + s * batch_;
-      }
+      Complex* const ds = diag_scratch_.data();
       for (std::size_t k = 0; k < count; ++k) {
         const Mat4& m = mats[b + k];
-        ds[0][k] = m[0];
-        ds[1][k] = m[5];
-        ds[2][k] = m[10];
-        ds[3][k] = m[15];
+        ds[k] = m[0];
+        ds[count + k] = m[5];
+        ds[2 * count + k] = m[10];
+        ds[3 * count + k] = m[15];
       }
-      for (std::size_t i = 0; i < dim_; ++i) {
-        const unsigned sel = ((i & bit_b) ? 2U : 0U) | ((i & bit_a) ? 1U : 0U);
-        kernels::batched_scale_each(row(i) + b, ds[sel], count);
-      }
+      kernels::batched_diag_each(amps_.data() + b, dim_, batch_, count, ds,
+                                 std::size_t{1} << qb, std::size_t{1} << qa);
     } else {
-      for (std::size_t g = 0; g < dim_ >> 2; ++g) {
-        const std::size_t i00 =
-            insert_zero_bit(insert_zero_bit(g, q_lo), q_hi);
-        kernels::batched_mat4_each(row(i00) + b, row(i00 | bit_a) + b,
-                                   row(i00 | bit_b) + b,
-                                   row(i00 | bit_b | bit_a) + b, mats + b,
-                                   count);
-      }
+      kernels::batched_mat4_each(amps_.data() + b, dim_, batch_, count,
+                                 mats + b, qb, qa);
     }
     b = e;
   }
@@ -220,13 +195,13 @@ void BatchedStatevector::apply_pauli_col(int pauli, int q, std::size_t col) {
 
 void BatchedStatevector::probability_of_one_all(int q, double* out) const {
   const std::size_t bit = std::size_t{1} << q;
-  for (std::size_t b = 0; b < batch_; ++b) out[b] = 0.0;
+  for (std::size_t b = 0; b < live_; ++b) out[b] = 0.0;
   // Basis index outer, sample inner: every column accumulates in the
   // exact index order of Statevector::probability_of_one.
   for (std::size_t i = 0; i < dim_; ++i) {
     if (!(i & bit)) continue;
     const Complex* const r = row(i);
-    for (std::size_t b = 0; b < batch_; ++b) out[b] += std::norm(r[b]);
+    for (std::size_t b = 0; b < live_; ++b) out[b] += std::norm(r[b]);
   }
 }
 
@@ -390,7 +365,7 @@ void ExecPlan::expectation_z_batched(const double* params, std::size_t stride,
 }
 
 // ---------------------------------------------------------------------------
-// Plan-based, trajectory-batched marginal sampler
+// Plan-based trajectory sampler: branch-on-divergence walk
 
 std::uint64_t StatevectorSimulator::sample_marginal_ones(
     const ExecPlan& plan, std::span<const double> params, int qubit,
@@ -405,59 +380,48 @@ std::uint64_t StatevectorSimulator::sample_marginal_ones(
       static_cast<std::size_t>(std::min(opts.trajectories, opts.shots));
   const auto& table = plan.gate_table();
   const bool noisy = noise_.enabled();
+  const std::span<const NoiseSite> sites =
+      noisy ? std::span<const NoiseSite>(plan.noise_sites())
+            : std::span<const NoiseSite>();
+  const std::size_t n_sites = sites.size();
+  BatchedWorkspace::TrajectoryScratch& s = ws.traj;
 
   // Shot allotment per trajectory: the circuit-walking sampler's
   // deterministic remaining / (n - t) spread.
-  std::vector<int> shots_of(n_traj);
+  s.shots_of.resize(n_traj);
   int remaining = opts.shots;
   for (std::size_t t = 0; t < n_traj; ++t) {
-    shots_of[t] = remaining / static_cast<int>(n_traj - t);
-    remaining -= shots_of[t];
+    s.shots_of[t] = remaining / static_cast<int>(n_traj - t);
+    remaining -= s.shots_of[t];
   }
 
-  // Noise sites: one per (gate with depolarizing error, involved qubit),
-  // in gate order — the exact draw order of run_trajectory.
-  struct Site {
-    std::size_t gate;
-    int qubit;
-    double error;
-  };
-  std::vector<Site> sites;
-  if (noisy) {
-    for (std::size_t k = 0; k < table.size(); ++k) {
-      const GateEntry& e = table[k];
-      if (e.error <= 0.0) continue;
-      sites.push_back({k, e.q0, e.error});
-      if (e.arity == 2) sites.push_back({k, e.q1, e.error});
-    }
-  }
   const double p01 = noisy ? noise_.readout_p01(qubit) : 0.0;
   const double p10 = noisy ? noise_.readout_p10(qubit) : 0.0;
   const bool flips = noisy && (p01 > 0.0 || p10 > 0.0);
 
   // Every random decision is pre-drawn here, trajectory by trajectory,
   // so the RNG stream — and therefore every outcome — is independent of
-  // how trajectories are later grouped into evolution blocks. Pauli
-  // decisions use run_trajectory's per-site bernoulli-then-choice
-  // consumption; shot draws consume one readout-flip uniform per shot
-  // whenever readout noise is configured, a value-independent schedule
-  // (the circuit-walking sampler draws the flip conditionally on the
-  // outcome, which would tie the stream to amplitude values).
-  std::vector<std::uint8_t> decision(n_traj * sites.size(), 0);
-  std::vector<double> u_out(static_cast<std::size_t>(opts.shots));
-  std::vector<double> u_flip(flips ? u_out.size() : 0);
+  // how trajectories later share or split columns. Pauli decisions use
+  // run_trajectory's per-site bernoulli-then-choice consumption (sites
+  // in gate order); shot draws consume one readout-flip uniform per
+  // shot whenever readout noise is configured, a value-independent
+  // schedule (the circuit-walking sampler draws the flip conditionally
+  // on the outcome, which would tie the stream to amplitude values).
+  s.decision.assign(n_traj * n_sites, 0);
+  s.u_out.resize(static_cast<std::size_t>(opts.shots));
+  s.u_flip.resize(flips ? s.u_out.size() : 0);
   {
     std::size_t si = 0;
     for (std::size_t t = 0; t < n_traj; ++t) {
-      for (std::size_t s = 0; s < sites.size(); ++s) {
-        if (rng.bernoulli(sites[s].error)) {
-          decision[t * sites.size() + s] =
+      for (std::size_t k = 0; k < n_sites; ++k) {
+        if (rng.bernoulli(sites[k].error)) {
+          s.decision[t * n_sites + k] =
               static_cast<std::uint8_t>(1 + rng.uniform_int(3));
         }
       }
-      for (int s = 0; s < shots_of[t]; ++s, ++si) {
-        u_out[si] = rng.uniform();
-        if (flips) u_flip[si] = rng.uniform();
+      for (int k = 0; k < s.shots_of[t]; ++k, ++si) {
+        s.u_out[si] = rng.uniform();
+        if (flips) s.u_flip[si] = rng.uniform();
       }
     }
   }
@@ -466,13 +430,29 @@ std::uint64_t StatevectorSimulator::sample_marginal_ones(
   // shared params; trajectories differ only in their Pauli insertions.
   plan.bind_gates(params, ws.gates);
 
+  // Branch-on-divergence walk. A block of trajectories starts on one
+  // live column. At a noise site, each live column's trajectories are
+  // grouped by their pre-drawn decision: the group of the column's
+  // first trajectory keeps the column, every other decision value forks
+  // an exact copy taken before the site's Paulis, and each column then
+  // takes its group's Pauli. A trajectory's column thus sees exactly the
+  // gate-and-Pauli sequence its own walk would, through kernels whose
+  // per-column arithmetic ignores the column's position and the live
+  // width — so every p1, and the ones count, is bit-identical to
+  // evolving each trajectory in a column of its own.
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   std::uint64_t ones = 0;
-  std::vector<double> p1(kBatchBlock);
+  [[maybe_unused]] std::uint64_t column_gates = 0;
+  s.p1.resize(kBatchBlock);
+  s.column_of.resize(kBatchBlock);
+  s.fork_to.resize(4 * kBatchBlock);
+  BatchedStatevector& st = ws.state();
   std::size_t si = 0;
   for (std::size_t t0 = 0; t0 < n_traj; t0 += kBatchBlock) {
     const std::size_t cur = std::min(kBatchBlock, n_traj - t0);
-    BatchedStatevector& st = ws.state();
-    st.configure(plan.num_qubits(), cur);
+    st.configure(plan.num_qubits(), cur, 1);
+    std::fill_n(s.column_of.begin(), cur, std::size_t{0});
+    const std::uint8_t* const dec = s.decision.data() + t0 * n_sites;
     std::size_t site_idx = 0;
     for (std::size_t k = 0; k < table.size(); ++k) {
       const GateEntry& e = table[k];
@@ -485,30 +465,46 @@ std::uint64_t StatevectorSimulator::sample_marginal_ones(
             e.dynamic ? ws.gates.dyn2q[idx] : plan.table_mat4(e.index), e.q0,
             e.q1);
       }
-      // Sparse per-trajectory Pauli insertions: a site fires on a few
-      // percent of columns, so the fired columns take a scalar
-      // single-column walk instead of dragging the whole block through
-      // a per-sample kernel. (Per-column application also keeps -0.0
-      // signs exact — a broadcast identity multiply on non-fired
-      // columns would not.)
-      for (; site_idx < sites.size() && sites[site_idx].gate == k;
-           ++site_idx) {
-        const Site& site = sites[site_idx];
+      column_gates += st.live();
+      for (; site_idx < n_sites && sites[site_idx].gate == k; ++site_idx) {
+        bool fired = false;
+        for (std::size_t c = 0; c < cur && !fired; ++c) {
+          fired = dec[c * n_sites + site_idx] != 0;
+        }
+        if (!fired) continue;
+        // Group first (forks copy pre-Pauli columns), then apply.
+        const std::size_t live = st.live();
+        std::fill_n(s.fork_to.begin(), 4 * live, kNone);
         for (std::size_t c = 0; c < cur; ++c) {
-          const std::uint8_t d = decision[(t0 + c) * sites.size() + site_idx];
-          if (d != 0) st.apply_pauli_col(d, site.qubit, c);
+          const std::uint8_t d = dec[c * n_sites + site_idx];
+          const std::size_t from = s.column_of[c];
+          std::size_t* const to = s.fork_to.data() + 4 * from;
+          if (to[d] == kNone) {
+            const bool claimed = to[0] != kNone || to[1] != kNone ||
+                                 to[2] != kNone || to[3] != kNone;
+            to[d] = claimed ? st.fork_column(from) : from;
+          }
+          s.column_of[c] = to[d];
+        }
+        for (std::size_t col = 0; col < live; ++col) {
+          for (int d = 1; d < 4; ++d) {
+            const std::size_t to = s.fork_to[4 * col + d];
+            if (to != kNone) st.apply_pauli_col(d, sites[site_idx].qubit, to);
+          }
         }
       }
     }
-    st.probability_of_one_all(qubit, p1.data());
+    st.probability_of_one_all(qubit, s.p1.data());
     for (std::size_t c = 0; c < cur; ++c) {
-      for (int s = 0; s < shots_of[t0 + c]; ++s, ++si) {
-        bool one = u_out[si] < p1[c];
-        if (flips && u_flip[si] < (one ? p10 : p01)) one = !one;
+      const double p = s.p1[s.column_of[c]];
+      for (int k = 0; k < s.shots_of[t0 + c]; ++k, ++si) {
+        bool one = s.u_out[si] < p;
+        if (flips && s.u_flip[si] < (one ? p10 : p01)) one = !one;
         if (one) ++ones;
       }
     }
   }
+  AQ_COUNTER_ADD("sim.sample.column_gates", column_gates);
   return ones;
 }
 

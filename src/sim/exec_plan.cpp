@@ -216,6 +216,11 @@ ExecPlan::ExecPlan(const circuit::Circuit& c, const NoiseModel& noise,
         ++fused_gates_;
       }
     }
+    if (entry.error > 0.0) {
+      const std::size_t k = table_.size();
+      noise_sites_.push_back({k, entry.q0, entry.error});
+      if (entry.arity == 2) noise_sites_.push_back({k, entry.q1, entry.error});
+    }
     table_.push_back(std::move(entry));
   }
   for (int q = 0; q < num_qubits_; ++q) flush(q);

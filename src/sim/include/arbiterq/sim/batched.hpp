@@ -16,9 +16,14 @@
 // fold per column, and the Z-expectation accumulates in the same basis
 // order per sample — so batched results are bit-identical across batch
 // sizes, and under strict reproducibility also bit-identical to the
-// unbatched path. (In the opt-in fast arm an odd trailing column runs
-// the scalar tail loop and may differ from the FMA lanes by ULPs.)
+// unbatched path. (In the opt-in fast arm an odd trailing column of a
+// per-column kernel runs the scalar tail loop and may differ from the
+// FMA lanes by ULPs.)
 //
+// Only columns [0, live) evolve. A forward pass keeps every column
+// live; the trajectory sampler (StatevectorSimulator::
+// sample_marginal_ones) starts a block of trajectories on one live
+// column and forks a column only where their noise paths diverge.
 // Callers block samples into groups of kBatchBlock columns: at the
 // 6-qubit QNN register (64 rows) a 32-wide block is 32 KiB of
 // amplitudes — resident in L1 while the whole gate stream replays.
@@ -39,33 +44,47 @@ namespace arbiterq::sim {
 inline constexpr std::size_t kBatchBlock = 32;
 
 /// Structure-of-arrays register: dim rows x batch columns, row i
-/// starting at amplitudes()[i * batch]. Column b evolves exactly as an
-/// unbatched Statevector would.
+/// starting at amplitudes()[i * batch]. Each live column b evolves
+/// exactly as an unbatched Statevector would.
 class BatchedStatevector {
  public:
   BatchedStatevector() = default;
 
-  /// Shape the register to `num_qubits` x `batch` and reset every
-  /// column to |0...0>. Reuses the existing allocation when possible.
-  void configure(int num_qubits, std::size_t batch);
+  /// Shape the register to `num_qubits` x `batch`, reset every column
+  /// to |0...0> and make columns [0, live) live (all of them when
+  /// `live` is omitted). Reuses the existing allocation when possible.
+  void configure(int num_qubits, std::size_t batch) {
+    configure(num_qubits, batch, batch);
+  }
+  void configure(int num_qubits, std::size_t batch, std::size_t live);
 
   int num_qubits() const noexcept { return num_qubits_; }
   std::size_t dim() const noexcept { return dim_; }
+  /// Row stride: the column capacity.
   std::size_t batch() const noexcept { return batch_; }
+  /// Columns [0, live()) are evolved by the apply_* calls.
+  std::size_t live() const noexcept { return live_; }
+
+  /// Copy live column `src` into the first non-live column, make it
+  /// live and return its index. Throws std::out_of_range when `src` is
+  /// not live or every column already is.
+  std::size_t fork_column(std::size_t src);
 
   Complex* row(std::size_t i) noexcept { return amps_.data() + i * batch_; }
   const Complex* row(std::size_t i) const noexcept {
     return amps_.data() + i * batch_;
   }
 
-  /// Apply one matrix to every column (broadcast mini-GEMM), with the
-  /// same diagonal fast path as Statevector::apply_mat2/apply_mat4.
+  /// Apply one matrix to every live column (broadcast mini-GEMM, one
+  /// kernel call per gate), with the same diagonal fast path as
+  /// Statevector::apply_mat2/apply_mat4.
   void apply_mat2_all(const circuit::Mat2& m, int q);
   void apply_mat4_all(const circuit::Mat4& m, int qb, int qa);
 
-  /// Apply mats[b] to column b. The diagonal dispatch is per-matrix, so
-  /// columns are partitioned into maximal runs of equal dispatch and
-  /// each run takes the kernel its matrices would take unbatched.
+  /// Apply mats[b] to live column b. The diagonal dispatch is
+  /// per-matrix, so columns are partitioned into maximal runs of equal
+  /// dispatch and each run takes the kernel its matrices would take
+  /// unbatched.
   void apply_mat2_each(const circuit::Mat2* mats, int q);
   void apply_mat4_each(const circuit::Mat4* mats, int qb, int qa);
 
@@ -74,14 +93,16 @@ class BatchedStatevector {
   void apply_mat2_col(const circuit::Mat2& m, int q, std::size_t col);
   void apply_pauli_col(int pauli, int q, std::size_t col);
 
-  /// out[b] = P(qubit q reads 1) for column b, accumulated in basis
-  /// order — the exact association of Statevector::probability_of_one.
+  /// out[b] = P(qubit q reads 1) for live column b, accumulated in
+  /// basis order — the exact association of
+  /// Statevector::probability_of_one.
   void probability_of_one_all(int q, double* out) const;
 
  private:
   int num_qubits_ = 0;
   std::size_t dim_ = 0;
   std::size_t batch_ = 0;
+  std::size_t live_ = 0;
   AmpVector amps_;
   /// Scratch for per-sample diagonal factors in the _each paths.
   std::vector<Complex> diag_scratch_;
@@ -120,6 +141,24 @@ class BatchedWorkspace {
   /// Unbatched workspace for walks that bind the per-gate table
   /// (batched trajectory sampling reuses bind_gates' matrices).
   Workspace gates;
+
+  /// Trajectory-sampler scratch (StatevectorSimulator::
+  /// sample_marginal_ones), resized per call and reused across calls.
+  struct TrajectoryScratch {
+    std::vector<int> shots_of;  ///< shot allotment per trajectory
+    /// Pre-drawn Pauli per (trajectory, noise site), trajectory-major;
+    /// 0 = no error, 1..3 = X, Y, Z.
+    std::vector<std::uint8_t> decision;
+    std::vector<double> u_out;   ///< per-shot outcome uniforms
+    std::vector<double> u_flip;  ///< per-shot readout-flip uniforms
+    std::vector<double> p1;      ///< P(1) per live column of a block
+    /// Column each trajectory of the current block reads from.
+    std::vector<std::size_t> column_of;
+    /// Per-site branch table: [column * 4 + decision] -> the column
+    /// that column's trajectories with that decision continue in.
+    std::vector<std::size_t> fork_to;
+  };
+  TrajectoryScratch traj;
 
   /// Batched-adjoint scratch: one gate-table workspace per sample
   /// column (each keeps its own bind_gates memo, so the weight-gate

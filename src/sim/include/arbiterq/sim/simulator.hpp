@@ -114,14 +114,17 @@ class StatevectorSimulator {
                                     const ShotOptions& opts,
                                     math::Rng& rng) const;
 
-  /// Plan-based, trajectory-batched marginal sampler (batched.cpp):
-  /// trajectories evolve kBatchBlock at a time through a
-  /// BatchedStatevector, with every random decision pre-drawn in
-  /// trajectory order so results are bit-identical for every block
-  /// size. The draw schedule is value-independent (one flip uniform per
-  /// shot whenever readout noise is configured), so it differs from the
-  /// circuit-walking sampler's stream — same distribution, different
-  /// bits for a given seed.
+  /// Plan-based trajectory sampler (batched.cpp). Every random decision
+  /// is pre-drawn in trajectory order; then each distinct noise path
+  /// evolves once, in one column of a BatchedStatevector, forked from
+  /// the shared prefix at the noise site where its trajectories'
+  /// decisions diverge (the plan's noise_sites()). The ones count is
+  /// bit-identical to walking every trajectory in full
+  /// (tests/sampler_oracle.hpp). The draw schedule is value-independent
+  /// (one flip uniform per shot whenever readout noise is configured),
+  /// so it differs from the circuit-walking sampler's stream — same
+  /// distribution, different bits for a given seed. Adds the evolved
+  /// columns x gates to the sim.sample.column_gates counter.
   std::uint64_t sample_marginal_ones(const ExecPlan& plan,
                                      std::span<const double> params, int qubit,
                                      const ShotOptions& opts, math::Rng& rng,

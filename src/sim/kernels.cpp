@@ -159,68 +159,88 @@ Complex bracket_2q_scalar(const Complex* lam, const Complex* psi,
 }
 
 // ---------------------------------------------------------------------------
-// Scalar batched row kernels: per-column arithmetic identical to the
-// unbatched loops above.
+// Scalar batched register kernels: per-column arithmetic identical to
+// the unbatched loops above.
 
-void batched_mat2_scalar(Complex* r0, Complex* r1, const Mat2& m,
-                         std::size_t count) {
-  const Complex m0 = m[0], m1 = m[1], m2 = m[2], m3 = m[3];
-  for (std::size_t b = 0; b < count; ++b) {
-    const Complex a0 = r0[b];
-    const Complex a1 = r1[b];
-    r0[b] = m0 * a0 + m1 * a1;
-    r1[b] = m2 * a0 + m3 * a1;
-  }
+inline void mat2_column(Complex* r0, Complex* r1, const Mat2& m,
+                        std::size_t b) {
+  const Complex a0 = r0[b];
+  const Complex a1 = r1[b];
+  r0[b] = m[0] * a0 + m[1] * a1;
+  r1[b] = m[2] * a0 + m[3] * a1;
 }
 
-void batched_mat2_each_scalar(Complex* r0, Complex* r1, const Mat2* mats,
-                              std::size_t count) {
-  for (std::size_t b = 0; b < count; ++b) {
-    const Mat2& m = mats[b];
-    const Complex a0 = r0[b];
-    const Complex a1 = r1[b];
-    r0[b] = m[0] * a0 + m[1] * a1;
-    r1[b] = m[2] * a0 + m[3] * a1;
-  }
+void batched_mat2_scalar(Complex* amps, std::size_t dim, std::size_t stride,
+                         std::size_t count, const Mat2& m, int q) {
+  detail::for_each_pair(amps, dim, stride, q, [&](Complex* r0, Complex* r1) {
+    for (std::size_t b = 0; b < count; ++b) mat2_column(r0, r1, m, b);
+  });
 }
 
-void batched_scale_scalar(Complex* row, Complex d, std::size_t count) {
-  for (std::size_t b = 0; b < count; ++b) row[b] *= d;
+void batched_mat2_each_scalar(Complex* amps, std::size_t dim,
+                              std::size_t stride, std::size_t count,
+                              const Mat2* mats, int q) {
+  detail::for_each_pair(amps, dim, stride, q, [&](Complex* r0, Complex* r1) {
+    for (std::size_t b = 0; b < count; ++b) mat2_column(r0, r1, mats[b], b);
+  });
 }
 
-void batched_scale_each_scalar(Complex* row, const Complex* ds,
-                               std::size_t count) {
-  for (std::size_t b = 0; b < count; ++b) row[b] *= ds[b];
+inline void mat4_column(Complex* r00, Complex* r01, Complex* r10,
+                        Complex* r11, const Mat4& m, std::size_t b) {
+  const Complex a00 = r00[b];
+  const Complex a01 = r01[b];
+  const Complex a10 = r10[b];
+  const Complex a11 = r11[b];
+  r00[b] = m[0] * a00 + m[1] * a01 + m[2] * a10 + m[3] * a11;
+  r01[b] = m[4] * a00 + m[5] * a01 + m[6] * a10 + m[7] * a11;
+  r10[b] = m[8] * a00 + m[9] * a01 + m[10] * a10 + m[11] * a11;
+  r11[b] = m[12] * a00 + m[13] * a01 + m[14] * a10 + m[15] * a11;
 }
 
-void batched_mat4_scalar(Complex* r00, Complex* r01, Complex* r10,
-                         Complex* r11, const Mat4& m, std::size_t count) {
-  for (std::size_t b = 0; b < count; ++b) {
-    const Complex a00 = r00[b];
-    const Complex a01 = r01[b];
-    const Complex a10 = r10[b];
-    const Complex a11 = r11[b];
-    r00[b] = m[0] * a00 + m[1] * a01 + m[2] * a10 + m[3] * a11;
-    r01[b] = m[4] * a00 + m[5] * a01 + m[6] * a10 + m[7] * a11;
-    r10[b] = m[8] * a00 + m[9] * a01 + m[10] * a10 + m[11] * a11;
-    r11[b] = m[12] * a00 + m[13] * a01 + m[14] * a10 + m[15] * a11;
-  }
+void batched_mat4_scalar(Complex* amps, std::size_t dim, std::size_t stride,
+                         std::size_t count, const Mat4& m, int qb, int qa) {
+  detail::for_each_quad(
+      amps, dim, stride, qb, qa,
+      [&](Complex* r00, Complex* r01, Complex* r10, Complex* r11) {
+        for (std::size_t b = 0; b < count; ++b) {
+          mat4_column(r00, r01, r10, r11, m, b);
+        }
+      });
 }
 
-void batched_mat4_each_scalar(Complex* r00, Complex* r01, Complex* r10,
-                              Complex* r11, const Mat4* mats,
-                              std::size_t count) {
-  for (std::size_t b = 0; b < count; ++b) {
-    const Mat4& m = mats[b];
-    const Complex a00 = r00[b];
-    const Complex a01 = r01[b];
-    const Complex a10 = r10[b];
-    const Complex a11 = r11[b];
-    r00[b] = m[0] * a00 + m[1] * a01 + m[2] * a10 + m[3] * a11;
-    r01[b] = m[4] * a00 + m[5] * a01 + m[6] * a10 + m[7] * a11;
-    r10[b] = m[8] * a00 + m[9] * a01 + m[10] * a10 + m[11] * a11;
-    r11[b] = m[12] * a00 + m[13] * a01 + m[14] * a10 + m[15] * a11;
-  }
+void batched_mat4_each_scalar(Complex* amps, std::size_t dim,
+                              std::size_t stride, std::size_t count,
+                              const Mat4* mats, int qb, int qa) {
+  detail::for_each_quad(
+      amps, dim, stride, qb, qa,
+      [&](Complex* r00, Complex* r01, Complex* r10, Complex* r11) {
+        for (std::size_t b = 0; b < count; ++b) {
+          mat4_column(r00, r01, r10, r11, mats[b], b);
+        }
+      });
+}
+
+void batched_diag_scalar(Complex* amps, std::size_t dim, std::size_t stride,
+                         std::size_t count, const Complex* d,
+                         std::size_t bit_b, std::size_t bit_a) {
+  detail::for_each_row(amps, dim, stride, bit_b, bit_a,
+                       [&](Complex* row, unsigned sel) {
+                         const Complex f = d[sel];
+                         for (std::size_t b = 0; b < count; ++b) row[b] *= f;
+                       });
+}
+
+void batched_diag_each_scalar(Complex* amps, std::size_t dim,
+                              std::size_t stride, std::size_t count,
+                              const Complex* ds, std::size_t bit_b,
+                              std::size_t bit_a) {
+  detail::for_each_row(amps, dim, stride, bit_b, bit_a,
+                       [&](Complex* row, unsigned sel) {
+                         const Complex* const f = ds + sel * count;
+                         for (std::size_t b = 0; b < count; ++b) {
+                           row[b] *= f[b];
+                         }
+                       });
 }
 
 }  // namespace
@@ -352,36 +372,42 @@ Complex bracket_2q(const Complex* lam, const Complex* psi, std::size_t n,
   return bracket_2q_scalar(lam, psi, n, m, qb, qa);
 }
 
-void batched_mat2(Complex* r0, Complex* r1, const Mat2& m,
-                  std::size_t count) {
-  AQ_DISPATCH(batched_mat2_avx2, batched_mat2_scalar, r0, r1, m, count);
+void batched_mat2(Complex* amps, std::size_t dim, std::size_t stride,
+                  std::size_t count, const Mat2& m, int q) {
+  AQ_DISPATCH(batched_mat2_avx2, batched_mat2_scalar, amps, dim, stride,
+              count, m, q);
 }
 
-void batched_mat2_each(Complex* r0, Complex* r1, const Mat2* mats,
-                       std::size_t count) {
-  AQ_DISPATCH(batched_mat2_each_avx2, batched_mat2_each_scalar, r0, r1, mats,
-              count);
+void batched_mat2_each(Complex* amps, std::size_t dim, std::size_t stride,
+                       std::size_t count, const Mat2* mats, int q) {
+  AQ_DISPATCH(batched_mat2_each_avx2, batched_mat2_each_scalar, amps, dim,
+              stride, count, mats, q);
 }
 
-void batched_scale(Complex* row, Complex d, std::size_t count) {
-  AQ_DISPATCH(batched_scale_avx2, batched_scale_scalar, row, d, count);
+void batched_mat4(Complex* amps, std::size_t dim, std::size_t stride,
+                  std::size_t count, const Mat4& m, int qb, int qa) {
+  AQ_DISPATCH(batched_mat4_avx2, batched_mat4_scalar, amps, dim, stride,
+              count, m, qb, qa);
 }
 
-void batched_scale_each(Complex* row, const Complex* ds, std::size_t count) {
-  AQ_DISPATCH(batched_scale_each_avx2, batched_scale_each_scalar, row, ds,
-              count);
+void batched_mat4_each(Complex* amps, std::size_t dim, std::size_t stride,
+                       std::size_t count, const Mat4* mats, int qb, int qa) {
+  AQ_DISPATCH(batched_mat4_each_avx2, batched_mat4_each_scalar, amps, dim,
+              stride, count, mats, qb, qa);
 }
 
-void batched_mat4(Complex* r00, Complex* r01, Complex* r10, Complex* r11,
-                  const Mat4& m, std::size_t count) {
-  AQ_DISPATCH(batched_mat4_avx2, batched_mat4_scalar, r00, r01, r10, r11, m,
-              count);
+void batched_diag(Complex* amps, std::size_t dim, std::size_t stride,
+                  std::size_t count, const Complex* d, std::size_t bit_b,
+                  std::size_t bit_a) {
+  AQ_DISPATCH(batched_diag_avx2, batched_diag_scalar, amps, dim, stride,
+              count, d, bit_b, bit_a);
 }
 
-void batched_mat4_each(Complex* r00, Complex* r01, Complex* r10, Complex* r11,
-                       const Mat4* mats, std::size_t count) {
-  AQ_DISPATCH(batched_mat4_each_avx2, batched_mat4_each_scalar, r00, r01, r10,
-              r11, mats, count);
+void batched_diag_each(Complex* amps, std::size_t dim, std::size_t stride,
+                       std::size_t count, const Complex* ds,
+                       std::size_t bit_b, std::size_t bit_a) {
+  AQ_DISPATCH(batched_diag_each_avx2, batched_diag_each_scalar, amps, dim,
+              stride, count, ds, bit_b, bit_a);
 }
 
 #undef AQ_DISPATCH

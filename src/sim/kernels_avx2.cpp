@@ -630,91 +630,102 @@ Complex bracket_2q_avx2(const Complex* lam, const Complex* psi, std::size_t n,
 }
 
 // ---------------------------------------------------------------------------
-// Sample-batched row kernels: rows are contiguous, so every arm is a
-// straight strided loop — the mini-GEMM inner dimension.
+// Sample-batched register kernels: within a row the columns are
+// contiguous, so every butterfly group is a straight loop over column
+// pairs. An odd trailing column of a broadcast butterfly packs the
+// group's output rows into one vector ([row 0 | row 1] and, for 2q,
+// [row 2 | row 3]) against a broadcast amplitude, which performs the
+// same products and sums per lane as the column-pair body; narrow
+// registers (the 1–3-column prefix of a trajectory walk) lean on it.
+
+/// [x.re, x.im, y.re, y.im] splats of matrix entries x | y.
+inline __m256d pair_re(const Complex& x, const Complex& y) noexcept {
+  return _mm256_setr_pd(x.real(), x.real(), y.real(), y.real());
+}
+inline __m256d pair_im(const Complex& x, const Complex& y) noexcept {
+  return _mm256_setr_pd(x.imag(), x.imag(), y.imag(), y.imag());
+}
+
+/// Column b of a row broadcast to both lanes.
+inline __m256d bcast_col(const Complex* row, std::size_t b) noexcept {
+  return _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(row + b));
+}
+
+/// Store lanes [lo | hi] to column b of two rows.
+inline void store_split(Complex* lo, Complex* hi, std::size_t b,
+                        __m256d v) noexcept {
+  _mm_storeu_pd(reinterpret_cast<double*>(lo + b), _mm256_castpd256_pd128(v));
+  _mm_storeu_pd(reinterpret_cast<double*>(hi + b),
+                _mm256_extractf128_pd(v, 1));
+}
 
 template <bool Fma>
-void batched_mat2_avx2(Complex* r0, Complex* r1, const Mat2& m,
-                       std::size_t count) {
-  double* p0 = reinterpret_cast<double*>(r0);
-  double* p1 = reinterpret_cast<double*>(r1);
+void batched_mat2_avx2(Complex* amps, std::size_t dim, std::size_t stride,
+                       std::size_t count, const Mat2& m, int q) {
   const __m256d m0r = bc(m[0].real()), m0i = bc(m[0].imag());
   const __m256d m1r = bc(m[1].real()), m1i = bc(m[1].imag());
   const __m256d m2r = bc(m[2].real()), m2i = bc(m[2].imag());
   const __m256d m3r = bc(m[3].real()), m3i = bc(m[3].imag());
-  std::size_t b = 0;
-  for (; b + 2 <= count; b += 2) {
-    const __m256d a0 = _mm256_loadu_pd(p0 + 2 * b);
-    const __m256d a1 = _mm256_loadu_pd(p1 + 2 * b);
-    _mm256_storeu_pd(p0 + 2 * b, _mm256_add_pd(cmul<Fma>(m0r, m0i, a0),
-                                               cmul<Fma>(m1r, m1i, a1)));
-    _mm256_storeu_pd(p1 + 2 * b, _mm256_add_pd(cmul<Fma>(m2r, m2i, a0),
-                                               cmul<Fma>(m3r, m3i, a1)));
-  }
-  for (; b < count; ++b) {
-    const Complex a0 = r0[b];
-    const Complex a1 = r1[b];
-    r0[b] = csrow2(&m[0], a0, a1);
-    r1[b] = csrow2(&m[2], a0, a1);
-  }
+  // Odd-column tail: [m0 | m2] * a0 + [m1 | m3] * a1.
+  const __m256d t0r = pair_re(m[0], m[2]), t0i = pair_im(m[0], m[2]);
+  const __m256d t1r = pair_re(m[1], m[3]), t1i = pair_im(m[1], m[3]);
+  const std::size_t even = count & ~std::size_t{1};
+  for_each_pair(amps, dim, stride, q, [&](Complex* r0, Complex* r1) {
+    double* p0 = reinterpret_cast<double*>(r0);
+    double* p1 = reinterpret_cast<double*>(r1);
+    for (std::size_t b = 0; b < even; b += 2) {
+      const __m256d a0 = _mm256_loadu_pd(p0 + 2 * b);
+      const __m256d a1 = _mm256_loadu_pd(p1 + 2 * b);
+      _mm256_storeu_pd(p0 + 2 * b, _mm256_add_pd(cmul<Fma>(m0r, m0i, a0),
+                                                 cmul<Fma>(m1r, m1i, a1)));
+      _mm256_storeu_pd(p1 + 2 * b, _mm256_add_pd(cmul<Fma>(m2r, m2i, a0),
+                                                 cmul<Fma>(m3r, m3i, a1)));
+    }
+    if (even != count) {
+      const __m256d a0 = bcast_col(r0, even);
+      const __m256d a1 = bcast_col(r1, even);
+      store_split(r0, r1, even,
+                  _mm256_add_pd(cmul<Fma>(t0r, t0i, a0),
+                                cmul<Fma>(t1r, t1i, a1)));
+    }
+  });
 }
 
 template <bool Fma>
-void batched_mat2_each_avx2(Complex* r0, Complex* r1, const Mat2* mats,
-                            std::size_t count) {
-  double* p0 = reinterpret_cast<double*>(r0);
-  double* p1 = reinterpret_cast<double*>(r1);
-  std::size_t b = 0;
-  for (; b + 2 <= count; b += 2) {
-    const double* ma = reinterpret_cast<const double*>(mats + b);
-    const double* mb = reinterpret_cast<const double*>(mats + b + 1);
-    const __m256d a0 = _mm256_loadu_pd(p0 + 2 * b);
-    const __m256d a1 = _mm256_loadu_pd(p1 + 2 * b);
-    const __m256d o0 =
-        _mm256_add_pd(cmul<Fma>(dup2(ma + 0, mb + 0), dup2(ma + 1, mb + 1), a0),
-                      cmul<Fma>(dup2(ma + 2, mb + 2), dup2(ma + 3, mb + 3), a1));
-    const __m256d o1 =
-        _mm256_add_pd(cmul<Fma>(dup2(ma + 4, mb + 4), dup2(ma + 5, mb + 5), a0),
-                      cmul<Fma>(dup2(ma + 6, mb + 6), dup2(ma + 7, mb + 7), a1));
-    _mm256_storeu_pd(p0 + 2 * b, o0);
-    _mm256_storeu_pd(p1 + 2 * b, o1);
-  }
-  for (; b < count; ++b) {
-    const Mat2& m = mats[b];
-    const Complex a0 = r0[b];
-    const Complex a1 = r1[b];
-    r0[b] = csrow2(&m[0], a0, a1);
-    r1[b] = csrow2(&m[2], a0, a1);
-  }
+void batched_mat2_each_avx2(Complex* amps, std::size_t dim,
+                            std::size_t stride, std::size_t count,
+                            const Mat2* mats, int q) {
+  for_each_pair(amps, dim, stride, q, [&](Complex* r0, Complex* r1) {
+    double* p0 = reinterpret_cast<double*>(r0);
+    double* p1 = reinterpret_cast<double*>(r1);
+    std::size_t b = 0;
+    for (; b + 2 <= count; b += 2) {
+      const double* ma = reinterpret_cast<const double*>(mats + b);
+      const double* mb = reinterpret_cast<const double*>(mats + b + 1);
+      const __m256d a0 = _mm256_loadu_pd(p0 + 2 * b);
+      const __m256d a1 = _mm256_loadu_pd(p1 + 2 * b);
+      const __m256d o0 = _mm256_add_pd(
+          cmul<Fma>(dup2(ma + 0, mb + 0), dup2(ma + 1, mb + 1), a0),
+          cmul<Fma>(dup2(ma + 2, mb + 2), dup2(ma + 3, mb + 3), a1));
+      const __m256d o1 = _mm256_add_pd(
+          cmul<Fma>(dup2(ma + 4, mb + 4), dup2(ma + 5, mb + 5), a0),
+          cmul<Fma>(dup2(ma + 6, mb + 6), dup2(ma + 7, mb + 7), a1));
+      _mm256_storeu_pd(p0 + 2 * b, o0);
+      _mm256_storeu_pd(p1 + 2 * b, o1);
+    }
+    for (; b < count; ++b) {
+      const Mat2& m = mats[b];
+      const Complex a0 = r0[b];
+      const Complex a1 = r1[b];
+      r0[b] = csrow2(&m[0], a0, a1);
+      r1[b] = csrow2(&m[2], a0, a1);
+    }
+  });
 }
 
 template <bool Fma>
-void batched_scale_avx2(Complex* row, Complex d, std::size_t count) {
-  scale_run<Fma>(row, d, count);
-}
-
-template <bool Fma>
-void batched_scale_each_avx2(Complex* row, const Complex* ds,
-                             std::size_t count) {
-  double* p = reinterpret_cast<double*>(row);
-  std::size_t b = 0;
-  for (; b + 2 <= count; b += 2) {
-    const double* da = reinterpret_cast<const double*>(ds + b);
-    const double* db = reinterpret_cast<const double*>(ds + b + 1);
-    _mm256_storeu_pd(p + 2 * b,
-                     cmul<Fma>(dup2(da + 0, db + 0), dup2(da + 1, db + 1),
-                               _mm256_loadu_pd(p + 2 * b)));
-  }
-  for (; b < count; ++b) row[b] = csmul(row[b], ds[b]);
-}
-
-template <bool Fma>
-void batched_mat4_avx2(Complex* r00, Complex* r01, Complex* r10, Complex* r11,
-                       const Mat4& m, std::size_t count) {
-  double* p00 = reinterpret_cast<double*>(r00);
-  double* p01 = reinterpret_cast<double*>(r01);
-  double* p10 = reinterpret_cast<double*>(r10);
-  double* p11 = reinterpret_cast<double*>(r11);
+void batched_mat4_avx2(Complex* amps, std::size_t dim, std::size_t stride,
+                       std::size_t count, const Mat4& m, int qb, int qa) {
   auto row4 = [&](const Complex* r, __m256d a00, __m256d a01, __m256d a10,
                   __m256d a11) {
     __m256d s = cmulc<Fma>(r[0], a00);
@@ -723,78 +734,137 @@ void batched_mat4_avx2(Complex* r00, Complex* r01, Complex* r10, Complex* r11,
     s = _mm256_add_pd(s, cmulc<Fma>(r[3], a11));
     return s;
   };
-  std::size_t b = 0;
-  for (; b + 2 <= count; b += 2) {
-    const __m256d a00 = _mm256_loadu_pd(p00 + 2 * b);
-    const __m256d a01 = _mm256_loadu_pd(p01 + 2 * b);
-    const __m256d a10 = _mm256_loadu_pd(p10 + 2 * b);
-    const __m256d a11 = _mm256_loadu_pd(p11 + 2 * b);
-    _mm256_storeu_pd(p00 + 2 * b, row4(&m[0], a00, a01, a10, a11));
-    _mm256_storeu_pd(p01 + 2 * b, row4(&m[4], a00, a01, a10, a11));
-    _mm256_storeu_pd(p10 + 2 * b, row4(&m[8], a00, a01, a10, a11));
-    _mm256_storeu_pd(p11 + 2 * b, row4(&m[12], a00, a01, a10, a11));
-  }
-  for (; b < count; ++b) {
-    const Complex a00 = r00[b];
-    const Complex a01 = r01[b];
-    const Complex a10 = r10[b];
-    const Complex a11 = r11[b];
-    r00[b] = csrow4(&m[0], a00, a01, a10, a11);
-    r01[b] = csrow4(&m[4], a00, a01, a10, a11);
-    r10[b] = csrow4(&m[8], a00, a01, a10, a11);
-    r11[b] = csrow4(&m[12], a00, a01, a10, a11);
-  }
+  // Odd-column tail: output rows r and r + 1 share one vector, lane
+  // half h holding row r + h's left-to-right sum over the four inputs.
+  auto rows2 = [&](std::size_t r, __m256d a00, __m256d a01, __m256d a10,
+                   __m256d a11) {
+    const Complex* lo = &m[4 * r];
+    const Complex* hi = &m[4 * r + 4];
+    __m256d s = cmul<Fma>(pair_re(lo[0], hi[0]), pair_im(lo[0], hi[0]), a00);
+    s = _mm256_add_pd(
+        s, cmul<Fma>(pair_re(lo[1], hi[1]), pair_im(lo[1], hi[1]), a01));
+    s = _mm256_add_pd(
+        s, cmul<Fma>(pair_re(lo[2], hi[2]), pair_im(lo[2], hi[2]), a10));
+    s = _mm256_add_pd(
+        s, cmul<Fma>(pair_re(lo[3], hi[3]), pair_im(lo[3], hi[3]), a11));
+    return s;
+  };
+  const std::size_t even = count & ~std::size_t{1};
+  for_each_quad(
+      amps, dim, stride, qb, qa,
+      [&](Complex* r00, Complex* r01, Complex* r10, Complex* r11) {
+        double* p00 = reinterpret_cast<double*>(r00);
+        double* p01 = reinterpret_cast<double*>(r01);
+        double* p10 = reinterpret_cast<double*>(r10);
+        double* p11 = reinterpret_cast<double*>(r11);
+        for (std::size_t b = 0; b < even; b += 2) {
+          const __m256d a00 = _mm256_loadu_pd(p00 + 2 * b);
+          const __m256d a01 = _mm256_loadu_pd(p01 + 2 * b);
+          const __m256d a10 = _mm256_loadu_pd(p10 + 2 * b);
+          const __m256d a11 = _mm256_loadu_pd(p11 + 2 * b);
+          _mm256_storeu_pd(p00 + 2 * b, row4(&m[0], a00, a01, a10, a11));
+          _mm256_storeu_pd(p01 + 2 * b, row4(&m[4], a00, a01, a10, a11));
+          _mm256_storeu_pd(p10 + 2 * b, row4(&m[8], a00, a01, a10, a11));
+          _mm256_storeu_pd(p11 + 2 * b, row4(&m[12], a00, a01, a10, a11));
+        }
+        if (even != count) {
+          const __m256d a00 = bcast_col(r00, even);
+          const __m256d a01 = bcast_col(r01, even);
+          const __m256d a10 = bcast_col(r10, even);
+          const __m256d a11 = bcast_col(r11, even);
+          const __m256d o0 = rows2(0, a00, a01, a10, a11);
+          const __m256d o1 = rows2(2, a00, a01, a10, a11);
+          store_split(r00, r01, even, o0);
+          store_split(r10, r11, even, o1);
+        }
+      });
 }
 
 template <bool Fma>
-void batched_mat4_each_avx2(Complex* r00, Complex* r01, Complex* r10,
-                            Complex* r11, const Mat4* mats,
-                            std::size_t count) {
-  double* p00 = reinterpret_cast<double*>(r00);
-  double* p01 = reinterpret_cast<double*>(r01);
-  double* p10 = reinterpret_cast<double*>(r10);
-  double* p11 = reinterpret_cast<double*>(r11);
-  std::size_t b = 0;
-  for (; b + 2 <= count; b += 2) {
-    const double* ma = reinterpret_cast<const double*>(mats + b);
-    const double* mb = reinterpret_cast<const double*>(mats + b + 1);
-    const __m256d a00 = _mm256_loadu_pd(p00 + 2 * b);
-    const __m256d a01 = _mm256_loadu_pd(p01 + 2 * b);
-    const __m256d a10 = _mm256_loadu_pd(p10 + 2 * b);
-    const __m256d a11 = _mm256_loadu_pd(p11 + 2 * b);
-    auto row4 = [&](unsigned r, __m256d* out) {
-      const std::size_t o = 8 * r;  // 4 complex = 8 doubles per row
-      __m256d s = cmul<Fma>(dup2(ma + o, mb + o), dup2(ma + o + 1, mb + o + 1),
-                            a00);
-      s = _mm256_add_pd(s, cmul<Fma>(dup2(ma + o + 2, mb + o + 2),
-                                     dup2(ma + o + 3, mb + o + 3), a01));
-      s = _mm256_add_pd(s, cmul<Fma>(dup2(ma + o + 4, mb + o + 4),
-                                     dup2(ma + o + 5, mb + o + 5), a10));
-      s = _mm256_add_pd(s, cmul<Fma>(dup2(ma + o + 6, mb + o + 6),
-                                     dup2(ma + o + 7, mb + o + 7), a11));
-      *out = s;
-    };
-    __m256d o00, o01, o10, o11;
-    row4(0, &o00);
-    row4(1, &o01);
-    row4(2, &o10);
-    row4(3, &o11);
-    _mm256_storeu_pd(p00 + 2 * b, o00);
-    _mm256_storeu_pd(p01 + 2 * b, o01);
-    _mm256_storeu_pd(p10 + 2 * b, o10);
-    _mm256_storeu_pd(p11 + 2 * b, o11);
-  }
-  for (; b < count; ++b) {
-    const Mat4& m = mats[b];
-    const Complex a00 = r00[b];
-    const Complex a01 = r01[b];
-    const Complex a10 = r10[b];
-    const Complex a11 = r11[b];
-    r00[b] = csrow4(&m[0], a00, a01, a10, a11);
-    r01[b] = csrow4(&m[4], a00, a01, a10, a11);
-    r10[b] = csrow4(&m[8], a00, a01, a10, a11);
-    r11[b] = csrow4(&m[12], a00, a01, a10, a11);
-  }
+void batched_mat4_each_avx2(Complex* amps, std::size_t dim,
+                            std::size_t stride, std::size_t count,
+                            const Mat4* mats, int qb, int qa) {
+  for_each_quad(
+      amps, dim, stride, qb, qa,
+      [&](Complex* r00, Complex* r01, Complex* r10, Complex* r11) {
+        double* p00 = reinterpret_cast<double*>(r00);
+        double* p01 = reinterpret_cast<double*>(r01);
+        double* p10 = reinterpret_cast<double*>(r10);
+        double* p11 = reinterpret_cast<double*>(r11);
+        std::size_t b = 0;
+        for (; b + 2 <= count; b += 2) {
+          const double* ma = reinterpret_cast<const double*>(mats + b);
+          const double* mb = reinterpret_cast<const double*>(mats + b + 1);
+          const __m256d a00 = _mm256_loadu_pd(p00 + 2 * b);
+          const __m256d a01 = _mm256_loadu_pd(p01 + 2 * b);
+          const __m256d a10 = _mm256_loadu_pd(p10 + 2 * b);
+          const __m256d a11 = _mm256_loadu_pd(p11 + 2 * b);
+          auto row4 = [&](unsigned r) {
+            const std::size_t o = 8 * r;  // 4 complex = 8 doubles per row
+            __m256d s = cmul<Fma>(dup2(ma + o, mb + o),
+                                  dup2(ma + o + 1, mb + o + 1), a00);
+            s = _mm256_add_pd(s, cmul<Fma>(dup2(ma + o + 2, mb + o + 2),
+                                           dup2(ma + o + 3, mb + o + 3), a01));
+            s = _mm256_add_pd(s, cmul<Fma>(dup2(ma + o + 4, mb + o + 4),
+                                           dup2(ma + o + 5, mb + o + 5), a10));
+            s = _mm256_add_pd(s, cmul<Fma>(dup2(ma + o + 6, mb + o + 6),
+                                           dup2(ma + o + 7, mb + o + 7), a11));
+            return s;
+          };
+          const __m256d o00 = row4(0);
+          const __m256d o01 = row4(1);
+          const __m256d o10 = row4(2);
+          const __m256d o11 = row4(3);
+          _mm256_storeu_pd(p00 + 2 * b, o00);
+          _mm256_storeu_pd(p01 + 2 * b, o01);
+          _mm256_storeu_pd(p10 + 2 * b, o10);
+          _mm256_storeu_pd(p11 + 2 * b, o11);
+        }
+        for (; b < count; ++b) {
+          const Mat4& m = mats[b];
+          const Complex a00 = r00[b];
+          const Complex a01 = r01[b];
+          const Complex a10 = r10[b];
+          const Complex a11 = r11[b];
+          r00[b] = csrow4(&m[0], a00, a01, a10, a11);
+          r01[b] = csrow4(&m[4], a00, a01, a10, a11);
+          r10[b] = csrow4(&m[8], a00, a01, a10, a11);
+          r11[b] = csrow4(&m[12], a00, a01, a10, a11);
+        }
+      });
+}
+
+template <bool Fma>
+void batched_diag_avx2(Complex* amps, std::size_t dim, std::size_t stride,
+                       std::size_t count, const Complex* d, std::size_t bit_b,
+                       std::size_t bit_a) {
+  for_each_row(amps, dim, stride, bit_b, bit_a,
+               [&](Complex* row, unsigned sel) {
+                 scale_run<Fma>(row, d[sel], count);
+               });
+}
+
+template <bool Fma>
+void batched_diag_each_avx2(Complex* amps, std::size_t dim,
+                            std::size_t stride, std::size_t count,
+                            const Complex* ds, std::size_t bit_b,
+                            std::size_t bit_a) {
+  for_each_row(amps, dim, stride, bit_b, bit_a,
+               [&](Complex* row, unsigned sel) {
+                 const Complex* const f = ds + sel * count;
+                 double* p = reinterpret_cast<double*>(row);
+                 std::size_t b = 0;
+                 for (; b + 2 <= count; b += 2) {
+                   const double* da = reinterpret_cast<const double*>(f + b);
+                   const double* db =
+                       reinterpret_cast<const double*>(f + b + 1);
+                   _mm256_storeu_pd(
+                       p + 2 * b,
+                       cmul<Fma>(dup2(da + 0, db + 0), dup2(da + 1, db + 1),
+                                 _mm256_loadu_pd(p + 2 * b)));
+                 }
+                 for (; b < count; ++b) row[b] = csmul(row[b], f[b]);
+               });
 }
 
 // ---------------------------------------------------------------------------
@@ -817,29 +887,38 @@ template void diag4_range_avx2<false>(Complex*, const Complex*, std::size_t,
                                       std::size_t, std::size_t, std::size_t);
 template void diag4_range_avx2<true>(Complex*, const Complex*, std::size_t,
                                      std::size_t, std::size_t, std::size_t);
-template void batched_mat2_avx2<false>(Complex*, Complex*, const Mat2&,
-                                       std::size_t);
-template void batched_mat2_avx2<true>(Complex*, Complex*, const Mat2&,
+template void batched_mat2_avx2<false>(Complex*, std::size_t, std::size_t,
+                                       std::size_t, const Mat2&, int);
+template void batched_mat2_avx2<true>(Complex*, std::size_t, std::size_t,
+                                      std::size_t, const Mat2&, int);
+template void batched_mat2_each_avx2<false>(Complex*, std::size_t,
+                                            std::size_t, std::size_t,
+                                            const Mat2*, int);
+template void batched_mat2_each_avx2<true>(Complex*, std::size_t, std::size_t,
+                                           std::size_t, const Mat2*, int);
+template void batched_mat4_avx2<false>(Complex*, std::size_t, std::size_t,
+                                       std::size_t, const Mat4&, int, int);
+template void batched_mat4_avx2<true>(Complex*, std::size_t, std::size_t,
+                                      std::size_t, const Mat4&, int, int);
+template void batched_mat4_each_avx2<false>(Complex*, std::size_t,
+                                            std::size_t, std::size_t,
+                                            const Mat4*, int, int);
+template void batched_mat4_each_avx2<true>(Complex*, std::size_t, std::size_t,
+                                           std::size_t, const Mat4*, int,
+                                           int);
+template void batched_diag_avx2<false>(Complex*, std::size_t, std::size_t,
+                                       std::size_t, const Complex*,
+                                       std::size_t, std::size_t);
+template void batched_diag_avx2<true>(Complex*, std::size_t, std::size_t,
+                                      std::size_t, const Complex*, std::size_t,
                                       std::size_t);
-template void batched_mat2_each_avx2<false>(Complex*, Complex*, const Mat2*,
+template void batched_diag_each_avx2<false>(Complex*, std::size_t,
+                                            std::size_t, std::size_t,
+                                            const Complex*, std::size_t,
                                             std::size_t);
-template void batched_mat2_each_avx2<true>(Complex*, Complex*, const Mat2*,
-                                           std::size_t);
-template void batched_scale_avx2<false>(Complex*, Complex, std::size_t);
-template void batched_scale_avx2<true>(Complex*, Complex, std::size_t);
-template void batched_scale_each_avx2<false>(Complex*, const Complex*,
-                                             std::size_t);
-template void batched_scale_each_avx2<true>(Complex*, const Complex*,
-                                            std::size_t);
-template void batched_mat4_avx2<false>(Complex*, Complex*, Complex*, Complex*,
-                                       const Mat4&, std::size_t);
-template void batched_mat4_avx2<true>(Complex*, Complex*, Complex*, Complex*,
-                                      const Mat4&, std::size_t);
-template void batched_mat4_each_avx2<false>(Complex*, Complex*, Complex*,
-                                            Complex*, const Mat4*,
-                                            std::size_t);
-template void batched_mat4_each_avx2<true>(Complex*, Complex*, Complex*,
-                                           Complex*, const Mat4*, std::size_t);
+template void batched_diag_each_avx2<true>(Complex*, std::size_t, std::size_t,
+                                           std::size_t, const Complex*,
+                                           std::size_t, std::size_t);
 
 }  // namespace arbiterq::sim::kernels::detail
 

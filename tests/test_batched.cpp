@@ -1,10 +1,12 @@
 // Sample-batched forward equivalence: BatchedStatevector column
 // evolution vs the unbatched plan path (bitwise under the default
 // strict-reproducibility arm, for batch sizes 1 / 2 / odd / wider than
-// kBatchBlock), the plan-based trajectory-batched sampler (same-seed
+// kBatchBlock), the plan-based trajectory sampler (bitwise agreement
+// with the block oracle in tests/sampler_oracle.hpp, same-seed
 // determinism, noiseless bitwise agreement with the circuit-walking
-// sampler, statistical agreement under noise), and executor-level
-// equivalence with the circuit-walk oracle (tests/executor_oracle.hpp).
+// sampler, statistical agreement under noise, no buffer growth on a
+// warm workspace), and executor-level equivalence with the circuit-walk
+// oracle (tests/executor_oracle.hpp).
 
 #include "arbiterq/sim/batched.hpp"
 
@@ -14,6 +16,7 @@
 #include <cstddef>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "arbiterq/data/pipeline.hpp"
@@ -25,6 +28,7 @@
 #include "arbiterq/sim/exec_plan.hpp"
 #include "arbiterq/sim/simulator.hpp"
 #include "executor_oracle.hpp"
+#include "sampler_oracle.hpp"
 
 namespace arbiterq::sim {
 namespace {
@@ -203,7 +207,29 @@ TEST(BatchedStatevectorTest, ConfigureResetsAllColumns) {
   }
   EXPECT_THROW(st.configure(0, 3), std::invalid_argument);
   EXPECT_THROW(st.configure(2, 0), std::invalid_argument);
+  EXPECT_THROW(st.configure(2, 3, 0), std::invalid_argument);
+  EXPECT_THROW(st.configure(2, 3, 4), std::invalid_argument);
   EXPECT_THROW(st.apply_pauli_col(0, 0, 0), std::invalid_argument);
+}
+
+TEST(BatchedStatevectorTest, ForkCopiesALiveColumnIntoTheNextSlot) {
+  BatchedStatevector st;
+  st.configure(2, 3, 1);
+  EXPECT_EQ(st.live(), 1U);
+  st.apply_mat2_all(circuit::gate_matrix_1q(GateKind::kH, {}), 0);
+  EXPECT_THROW(st.fork_column(1), std::out_of_range);  // not live
+  EXPECT_EQ(st.fork_column(0), 1U);
+  EXPECT_EQ(st.fork_column(1), 2U);
+  for (std::size_t i = 0; i < st.dim(); ++i) {
+    EXPECT_EQ(st.row(i)[1], st.row(i)[0]) << "amp " << i;
+    EXPECT_EQ(st.row(i)[2], st.row(i)[0]) << "amp " << i;
+  }
+  EXPECT_THROW(st.fork_column(0), std::out_of_range);  // no free column
+  // Only live columns evolve: a gate after the forks reaches all three.
+  st.apply_mat2_all(circuit::gate_matrix_1q(GateKind::kX, {}), 1);
+  for (std::size_t i = 0; i < st.dim(); ++i) {
+    EXPECT_EQ(st.row(i)[2], st.row(i)[0]) << "amp " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -226,6 +252,134 @@ TEST(BatchedSampler, DeterministicGivenRngState) {
   math::Rng b(7);
   EXPECT_EQ(sim.sample_marginal_ones(plan, params, 1, opts, a, wsa),
             sim.sample_marginal_ones(plan, params, 1, opts, b, wsb));
+}
+
+NoiseModel saturated_noise(int nq) {
+  // Every gate errs with probability 1: every site fires on every
+  // trajectory, so columns fork as often as they can.
+  NoiseModel m(nq);
+  for (int q = 0; q < nq; ++q) m.set_depolarizing_1q(q, 1.0);
+  for (int a = 0; a < nq; ++a) {
+    for (int b = 0; b < nq; ++b) {
+      if (a != b) m.set_depolarizing_2q(a, b, 1.0);
+    }
+  }
+  return m;
+}
+
+NoiseModel no_readout_noise(int nq) {
+  NoiseModel m = rich_noise(nq);
+  for (int q = 0; q < nq; ++q) m.set_readout_error(q, 0.0, 0.0);
+  return m;
+}
+
+/// EXPECT_EQ of the branch-walk sampler's ones count against the block
+/// oracle over a table of trajectory and shot counts on every readout
+/// qubit; both sides start from the same RNG state and must leave it in
+/// the same state.
+void expect_matches_block_oracle(const StatevectorSimulator& sim,
+                                 const ExecPlan& plan,
+                                 std::span<const double> params,
+                                 const char* model) {
+  BatchedWorkspace ws;
+  BatchedWorkspace oracle_ws;
+  std::uint64_t seed = 1000;
+  for (const int traj : {1, 2, 16, 31, 32, 33, 50, 64}) {
+    for (const int shots : {1, traj - 1, 85, 500}) {
+      if (shots < 1) continue;
+      for (int q = 0; q < plan.num_qubits(); ++q) {
+        ShotOptions opts;
+        opts.shots = shots;
+        opts.trajectories = traj;
+        math::Rng a(++seed);
+        math::Rng b(seed);
+        EXPECT_EQ(sim.sample_marginal_ones(plan, params, q, opts, a, ws),
+                  oracle::block_sample_marginal_ones(sim, plan, params, q,
+                                                     opts, b, oracle_ws))
+            << model << " trajectories=" << traj << " shots=" << shots
+            << " qubit=" << q;
+        EXPECT_EQ(a.uniform(), b.uniform()) << model;
+      }
+    }
+  }
+}
+
+TEST(BatchedSampler, MatchesBlockOracleBitwise) {
+  const Circuit c = full_gate_circuit();
+  math::Rng prng(71);
+  std::vector<double> params(static_cast<std::size_t>(c.num_params()));
+  for (double& v : params) v = prng.uniform(-1.5, 1.5);
+  const std::vector<std::pair<const char*, StatevectorSimulator>> models = {
+      {"noiseless", StatevectorSimulator()},
+      {"readout flips on", StatevectorSimulator(rich_noise(3))},
+      {"readout flips off", StatevectorSimulator(no_readout_noise(3))},
+      {"gate error 1.0", StatevectorSimulator(saturated_noise(3))},
+  };
+  for (const auto& [name, sim] : models) {
+    const ExecPlan plan = sim.make_plan(c);
+    expect_matches_block_oracle(sim, plan, params, name);
+  }
+}
+
+TEST(BatchedSampler, NoiselessTrajectoriesShareOneColumn) {
+  // With no noise site every trajectory follows one path: the walk
+  // never forks, however many trajectories there are.
+  const Circuit c = full_gate_circuit();
+  const std::vector<double> params(static_cast<std::size_t>(c.num_params()),
+                                   0.3);
+  const StatevectorSimulator sim;
+  const ExecPlan plan = sim.make_plan(c);
+  BatchedWorkspace ws;
+  ShotOptions opts;
+  opts.shots = 500;
+  opts.trajectories = 32;
+  math::Rng rng(3);
+  sim.sample_marginal_ones(plan, params, 0, opts, rng, ws);
+  EXPECT_EQ(ws.state().live(), 1U);
+  EXPECT_EQ(ws.state().batch(), 32U);
+}
+
+TEST(BatchedSampler, SecondCallGrowsNoBuffer) {
+  const Circuit c = full_gate_circuit();
+  const std::vector<double> params(static_cast<std::size_t>(c.num_params()),
+                                   0.4);
+  const StatevectorSimulator sim(rich_noise(3));
+  const ExecPlan plan = sim.make_plan(c);
+  BatchedWorkspace ws;
+  ShotOptions opts;
+  opts.shots = 85;
+  opts.trajectories = 16;
+  math::Rng rng(5);
+  sim.sample_marginal_ones(plan, params, 1, opts, rng, ws);
+  const auto& t = ws.traj;
+  struct Buf {
+    const void* data;
+    std::size_t capacity;
+  };
+  const auto snapshot = [&] {
+    return std::vector<Buf>{
+        {t.shots_of.data(), t.shots_of.capacity()},
+        {t.decision.data(), t.decision.capacity()},
+        {t.u_out.data(), t.u_out.capacity()},
+        {t.u_flip.data(), t.u_flip.capacity()},
+        {t.p1.data(), t.p1.capacity()},
+        {t.column_of.data(), t.column_of.capacity()},
+        {t.fork_to.data(), t.fork_to.capacity()},
+        {ws.gates.dyn1q.data(), ws.gates.dyn1q.capacity()},
+        {ws.gates.dyn2q.data(), ws.gates.dyn2q.capacity()},
+        {ws.state().row(0), ws.state().dim() * ws.state().batch()},
+    };
+  };
+  const auto before = snapshot();
+  // A different seed forks a different set of columns.
+  math::Rng other(6);
+  sim.sample_marginal_ones(plan, params, 1, opts, other, ws);
+  const auto after = snapshot();
+  ASSERT_EQ(before.size(), after.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(before[i].data, after[i].data) << "buffer " << i;
+    EXPECT_EQ(before[i].capacity, after[i].capacity) << "buffer " << i;
+  }
 }
 
 TEST(BatchedSampler, NoiselessMatchesCircuitWalkingSamplerBitwise) {
@@ -352,6 +506,33 @@ TEST_F(BatchedExecutor, LossAndGradientMatchOracleBitwise) {
                                    split_.train_labels, weights_))
           << "mitigate=" << mitigate << " threads=" << t;
     }
+  }
+}
+
+TEST_F(BatchedExecutor, RecalibratedPlanSamplerMatchesBlockOracle) {
+  // recalibrate() compiles a new plan, noise sites included; the
+  // production sampler on it must still match the block oracle.
+  qnn::QnnExecutor ex = make();
+  math::Rng drift(9);
+  ex.recalibrate(0.05, drift);
+  const sim::StatevectorSimulator sim(ex.noise());
+  ASSERT_FALSE(ex.plan()->noise_sites().empty());
+  const auto params =
+      model_.pack_params(split_.test_features.front(), weights_);
+  sim::BatchedWorkspace ws;
+  sim::BatchedWorkspace oracle_ws;
+  sim::ShotOptions opts;
+  opts.shots = 85;
+  opts.trajectories = 16;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    math::Rng a(seed);
+    math::Rng b(seed);
+    EXPECT_EQ(sim.sample_marginal_ones(*ex.plan(), params,
+                                       ex.readout_qubit(), opts, a, ws),
+              oracle::block_sample_marginal_ones(sim, *ex.plan(), params,
+                                                 ex.readout_qubit(), opts, b,
+                                                 oracle_ws))
+        << "seed " << seed;
   }
 }
 

@@ -2,8 +2,8 @@
 // (sim/kernels.hpp): every SIMD arm against the scalar reference, over
 // the full gate set (including noise-biased angles and fully random
 // matrices), adjoint brackets, 1..8-qubit registers, partial dispatch
-// ranges, and the sample-batched row kernels at batch sizes
-// 1 / 2 / odd / wider than a cache block. Under strict reproducibility
+// ranges, and the sample-batched register kernels at live widths 1..33
+// inside rows of equal or greater stride. Under strict reproducibility
 // (the default) the comparison is bitwise; with strict relaxed the FMA
 // arm is held to a tight ULP-scale bound.
 
@@ -14,6 +14,7 @@
 #include <cmath>
 #include <complex>
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "arbiterq/circuit/unitary.hpp"
@@ -294,81 +295,141 @@ TEST_P(KernelEquivalence, BracketsMatchScalarReference) {
   }
 }
 
-TEST_P(KernelEquivalence, BatchedRowKernelsMatchPerColumnScalar) {
+TEST_P(KernelEquivalence, BatchedRegisterKernelsMatchPerColumnScalar) {
+  // Every register kernel at live widths 1..33, in rows exactly that
+  // wide and in wider rows (live < stride, the trajectory sampler's
+  // shape), on every qubit and ordered qubit pair of a 3-qubit
+  // register. Three checks per op: the active arm equals the scalar
+  // arm, the scalar arm equals the unbatched scalar kernel run on each
+  // column alone, and columns past the live width are untouched.
   math::Rng rng(107);
-  for (const std::size_t count : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{5}, std::size_t{40}}) {
-    // Four rows of `count` columns — one 2q butterfly group, batched.
-    std::vector<AmpVector> rows(4);
-    for (auto& r : rows) {
-      r.resize(count);
-      for (Complex& a : r) {
+  constexpr int kQubits = 3;
+  constexpr std::size_t kDim = std::size_t{1} << kQubits;
+  struct Op {
+    std::function<void(Complex*)> batched;
+    /// Unbatched equivalent on column b, extracted to kDim amplitudes.
+    std::function<void(Complex*, std::size_t)> column;
+  };
+  for (std::size_t count = 1; count <= 33; ++count) {
+    for (const std::size_t stride : {count, count + 3}) {
+      AmpVector init(kDim * stride);
+      for (Complex& a : init) {
         a = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
       }
-    }
-    const Mat2 m2 = circuit::gate_matrix_1q(GateKind::kU3, random_angles(rng));
-    const Mat4 m4 =
-        circuit::gate_matrix_2q(GateKind::kCRX, random_angles(rng));
-    std::vector<Mat2> m2s;
-    std::vector<Mat4> m4s;
-    std::vector<Complex> ds;
-    for (std::size_t b = 0; b < count; ++b) {
-      m2s.push_back(circuit::gate_matrix_1q(
-          b % 3 == 0 ? GateKind::kRZ : GateKind::kU3, random_angles(rng)));
-      m4s.push_back(circuit::gate_matrix_2q(GateKind::kCRZ,
-                                            random_angles(rng)));
-      ds.push_back({rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)});
-    }
-
-    // Scalar per-column reference: one-group unbatched butterflies.
-    auto ref_rows = rows;
-    kernels::set_simd_runtime_enabled(false);
-    for (std::size_t b = 0; b < count; ++b) {
-      Complex pair[2] = {ref_rows[0][b], ref_rows[1][b]};
-      kernels::apply_mat2_range(pair, m2, 0, 0, 1);
-      ref_rows[0][b] = pair[0];
-      ref_rows[1][b] = pair[1];
-      Complex quad[4] = {ref_rows[0][b], ref_rows[1][b], ref_rows[2][b],
-                         ref_rows[3][b]};
-      kernels::apply_mat4_range(quad, m4, 1, 0, 0, 1);
-      for (int i = 0; i < 4; ++i) ref_rows[static_cast<std::size_t>(i)][b] =
-          quad[i];
-      Complex pair2[2] = {ref_rows[2][b], ref_rows[3][b]};
-      kernels::apply_mat2_range(pair2, m2s[b], 0, 0, 1);
-      ref_rows[2][b] = pair2[0];
-      ref_rows[3][b] = pair2[1];
-      Complex quad2[4] = {ref_rows[0][b], ref_rows[1][b], ref_rows[2][b],
-                          ref_rows[3][b]};
-      kernels::apply_mat4_range(quad2, m4s[b], 1, 0, 0, 1);
-      for (int i = 0; i < 4; ++i) ref_rows[static_cast<std::size_t>(i)][b] =
-          quad2[i];
-      ref_rows[1][b] *= ds[b];
-      ref_rows[0][b] *= ds[0];
-    }
-
-    auto got_rows = rows;
-    kernels::set_simd_runtime_enabled(true);
-    kernels::batched_mat2(got_rows[0].data(), got_rows[1].data(), m2, count);
-    kernels::batched_mat4(got_rows[0].data(), got_rows[1].data(),
-                          got_rows[2].data(), got_rows[3].data(), m4, count);
-    kernels::batched_mat2_each(got_rows[2].data(), got_rows[3].data(),
-                               m2s.data(), count);
-    kernels::batched_mat4_each(got_rows[0].data(), got_rows[1].data(),
-                               got_rows[2].data(), got_rows[3].data(),
-                               m4s.data(), count);
-    kernels::batched_scale_each(got_rows[1].data(), ds.data(), count);
-    kernels::batched_scale(got_rows[0].data(), ds[0], count);
-
-    for (int r = 0; r < 4; ++r) {
-      const auto& ref = ref_rows[static_cast<std::size_t>(r)];
-      const auto& got = got_rows[static_cast<std::size_t>(r)];
+      std::vector<Mat2> m2s;
+      std::vector<Mat4> m4s;
+      std::vector<Complex> ds(4 * count);
       for (std::size_t b = 0; b < count; ++b) {
-        if (strict()) {
-          EXPECT_EQ(got[b], ref[b]) << "row " << r << " col " << b;
-        } else {
-          EXPECT_NEAR(std::abs(got[b] - ref[b]), 0.0, kTol)
-              << "row " << r << " col " << b;
+        m2s.push_back(circuit::gate_matrix_1q(
+            b % 3 == 0 ? GateKind::kRY : GateKind::kU3, random_angles(rng)));
+        m4s.push_back(circuit::gate_matrix_2q(
+            b % 2 == 0 ? GateKind::kCRX : GateKind::kCRY, random_angles(rng)));
+      }
+      for (Complex& c : ds) {
+        c = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+      }
+      Complex d[4];
+      for (Complex& c : d) c = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+      const Mat2 m2 =
+          circuit::gate_matrix_1q(GateKind::kU3, random_angles(rng));
+      const Mat4 m4 =
+          circuit::gate_matrix_2q(GateKind::kCRX, random_angles(rng));
+
+      std::vector<Op> ops;
+      for (int q = 0; q < kQubits; ++q) {
+        const std::size_t bit = std::size_t{1} << q;
+        ops.push_back(
+            {[&, q](Complex* a) {
+               kernels::batched_mat2(a, kDim, stride, count, m2, q);
+             },
+             [&, q](Complex* c, std::size_t) {
+               kernels::apply_mat2_range(c, m2, q, 0, kDim / 2);
+             }});
+        ops.push_back(
+            {[&, q](Complex* a) {
+               kernels::batched_mat2_each(a, kDim, stride, count, m2s.data(),
+                                          q);
+             },
+             [&, q](Complex* c, std::size_t b) {
+               kernels::apply_mat2_range(c, m2s[b], q, 0, kDim / 2);
+             }});
+        // 1q diagonal fast path: bit_b = 0 selects d[0] / d[1].
+        ops.push_back(
+            {[&, bit](Complex* a) {
+               kernels::batched_diag(a, kDim, stride, count, d, 0, bit);
+             },
+             [&, bit](Complex* c, std::size_t) {
+               kernels::apply_diag2_range(c, d[0], d[1], bit, 0, kDim);
+             }});
+        ops.push_back(
+            {[&, bit](Complex* a) {
+               kernels::batched_diag_each(a, kDim, stride, count, ds.data(),
+                                          0, bit);
+             },
+             [&, bit](Complex* c, std::size_t b) {
+               kernels::apply_diag2_range(c, ds[b], ds[count + b], bit, 0,
+                                          kDim);
+             }});
+      }
+      for (int qb = 0; qb < kQubits; ++qb) {
+        for (int qa = 0; qa < kQubits; ++qa) {
+          if (qa == qb) continue;
+          const std::size_t bb = std::size_t{1} << qb;
+          const std::size_t ba = std::size_t{1} << qa;
+          ops.push_back(
+              {[&, qb, qa](Complex* a) {
+                 kernels::batched_mat4(a, kDim, stride, count, m4, qb, qa);
+               },
+               [&, qb, qa](Complex* c, std::size_t) {
+                 kernels::apply_mat4_range(c, m4, qb, qa, 0, kDim / 4);
+               }});
+          ops.push_back(
+              {[&, qb, qa](Complex* a) {
+                 kernels::batched_mat4_each(a, kDim, stride, count,
+                                            m4s.data(), qb, qa);
+               },
+               [&, qb, qa](Complex* c, std::size_t b) {
+                 kernels::apply_mat4_range(c, m4s[b], qb, qa, 0, kDim / 4);
+               }});
+          // 2q diagonal fast path.
+          ops.push_back(
+              {[&, bb, ba](Complex* a) {
+                 kernels::batched_diag(a, kDim, stride, count, d, bb, ba);
+               },
+               [&, bb, ba](Complex* c, std::size_t) {
+                 kernels::apply_diag4_range(c, d, bb, ba, 0, kDim);
+               }});
+          ops.push_back(
+              {[&, bb, ba](Complex* a) {
+                 kernels::batched_diag_each(a, kDim, stride, count, ds.data(),
+                                            bb, ba);
+               },
+               [&, bb, ba](Complex* c, std::size_t b) {
+                 const Complex col_d[4] = {ds[b], ds[count + b],
+                                           ds[2 * count + b],
+                                           ds[3 * count + b]};
+                 kernels::apply_diag4_range(c, col_d, bb, ba, 0, kDim);
+               }});
         }
+      }
+
+      for (std::size_t k = 0; k < ops.size(); ++k) {
+        SCOPED_TRACE(::testing::Message() << "count " << count << " stride "
+                                          << stride << " op " << k);
+        compare_arms(init, strict(), kTol, ops[k].batched);
+        AmpVector reg = init;
+        kernels::set_simd_runtime_enabled(false);
+        ops[k].batched(reg.data());
+        for (std::size_t b = 0; b < stride; ++b) {
+          AmpVector col(kDim);
+          for (std::size_t i = 0; i < kDim; ++i) col[i] = init[i * stride + b];
+          if (b < count) ops[k].column(col.data(), b);
+          for (std::size_t i = 0; i < kDim; ++i) {
+            EXPECT_EQ(reg[i * stride + b], col[i]) << "col " << b << " amp "
+                                                   << i;
+          }
+        }
+        kernels::set_simd_runtime_enabled(true);
       }
     }
   }

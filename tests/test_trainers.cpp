@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "arbiterq/device/presets.hpp"
 
 namespace arbiterq::core {
@@ -137,6 +143,87 @@ TEST(Trainer, EmptyFleetThrows) {
   const qnn::QnnModel model(qnn::Backbone::kCRz, 2, 1);
   EXPECT_THROW(DistributedTrainer(model, {}, TrainConfig{}),
                std::invalid_argument);
+}
+
+TEST(Trainer, ConfigValidation) {
+  const qnn::QnnModel model(qnn::Backbone::kCRz, 2, 1);
+  const auto fleet = device::table3_fleet_subset(2, 2);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  using Mutate = std::function<void(TrainConfig&)>;
+  // One row per bad TrainConfig field.
+  const std::vector<std::pair<std::string, Mutate>> bad = {
+      {"learning_rate=0", [](TrainConfig& c) { c.learning_rate = 0.0; }},
+      {"learning_rate=-0.1", [](TrainConfig& c) { c.learning_rate = -0.1; }},
+      {"learning_rate=nan", [&](TrainConfig& c) { c.learning_rate = nan; }},
+      {"learning_rate=inf", [&](TrainConfig& c) { c.learning_rate = inf; }},
+      {"epochs=0", [](TrainConfig& c) { c.epochs = 0; }},
+      {"epochs=-1", [](TrainConfig& c) { c.epochs = -1; }},
+      {"batch_size=0", [](TrainConfig& c) { c.batch_size = 0; }},
+      {"kappa=-1", [](TrainConfig& c) { c.kappa = -1.0; }},
+      {"kappa=nan", [&](TrainConfig& c) { c.kappa = nan; }},
+      {"kappa=inf", [&](TrainConfig& c) { c.kappa = inf; }},
+      {"distance_threshold=-1e-3",
+       [](TrainConfig& c) { c.distance_threshold = -1e-3; }},
+      {"distance_threshold=nan",
+       [&](TrainConfig& c) { c.distance_threshold = nan; }},
+      {"gradient_shot_noise=-0.1",
+       [](TrainConfig& c) { c.gradient_shot_noise = -0.1; }},
+      {"gradient_shot_noise=inf",
+       [&](TrainConfig& c) { c.gradient_shot_noise = inf; }},
+      {"drift_sigma=-0.1", [](TrainConfig& c) { c.drift_sigma = -0.1; }},
+      {"drift_sigma=nan", [&](TrainConfig& c) { c.drift_sigma = nan; }},
+      {"gradient_prune_ratio=-0.1",
+       [](TrainConfig& c) { c.gradient_prune_ratio = -0.1; }},
+      {"gradient_prune_ratio=1.1",
+       [](TrainConfig& c) { c.gradient_prune_ratio = 1.1; }},
+      {"gradient_prune_ratio=nan",
+       [&](TrainConfig& c) { c.gradient_prune_ratio = nan; }},
+      {"offline_probability=-0.1",
+       [](TrainConfig& c) { c.offline_probability = -0.1; }},
+      {"offline_probability=1.5",
+       [](TrainConfig& c) { c.offline_probability = 1.5; }},
+      {"offline_probability=nan",
+       [&](TrainConfig& c) { c.offline_probability = nan; }},
+      {"drift_interval=-1", [](TrainConfig& c) { c.drift_interval = -1; }},
+  };
+  for (const auto& [name, mutate] : bad) {
+    TrainConfig cfg;
+    mutate(cfg);
+    EXPECT_THROW(cfg.validate(), std::invalid_argument) << name;
+    EXPECT_THROW(DistributedTrainer(model, fleet, cfg), std::invalid_argument)
+        << name;
+  }
+  // Boundary values stay legal.
+  const std::vector<std::pair<std::string, Mutate>> edge = {
+      {"epochs=1, batch_size=1",
+       [](TrainConfig& c) {
+         c.epochs = 1;
+         c.batch_size = 1;
+       }},
+      {"tiny learning_rate", [](TrainConfig& c) { c.learning_rate = 1e-12; }},
+      {"zeros",
+       [](TrainConfig& c) {
+         c.kappa = 0.0;
+         c.distance_threshold = 0.0;
+         c.gradient_shot_noise = 0.0;
+         c.drift_sigma = 0.0;
+         c.gradient_prune_ratio = 0.0;
+         c.offline_probability = 0.0;
+         c.drift_interval = 0;
+       }},
+      {"unit interval tops",
+       [](TrainConfig& c) {
+         c.gradient_prune_ratio = 1.0;
+         c.offline_probability = 1.0;
+       }},
+  };
+  for (const auto& [name, mutate] : edge) {
+    TrainConfig cfg;
+    mutate(cfg);
+    EXPECT_NO_THROW(cfg.validate()) << name;
+    EXPECT_NO_THROW(DistributedTrainer(model, fleet, cfg)) << name;
+  }
 }
 
 TEST(Trainer, StrategyNames) {
