@@ -136,16 +136,18 @@ void BM_AdjointGradient(benchmark::State& state) {
 BENCHMARK(BM_AdjointGradient)->DenseRange(2, 10, 2);
 
 void BM_PlanAdjointGradient(benchmark::State& state) {
-  // Plan-based adjoint with warm workspace registers — compare with
-  // BM_AdjointGradient at the same qubit count.
+  // Batched plan adjoint at batch 1 (the production entry point) with a
+  // warm workspace — compare with BM_AdjointGradient at the same qubit
+  // count.
   const int qubits = static_cast<int>(state.range(0));
   const qnn::QnnModel m = model_for(qubits);
   const auto params = params_for(m);
   const sim::ExecPlan plan(m.circuit(), sim::NoiseModel{});
-  sim::Workspace ws;
+  sim::BatchedWorkspace ws;
   std::vector<double> grad(static_cast<std::size_t>(m.num_params()));
   for (auto _ : state) {
-    sim::adjoint_gradient_z(plan, params, 0, ws, grad);
+    sim::adjoint_gradient_z_batched(plan, params.data(), params.size(), 1, 0,
+                                    ws, grad.data());
     benchmark::DoNotOptimize(grad.data());
   }
 }
@@ -454,10 +456,47 @@ struct ArmTiming {
   double gradient_median_s = 0.0;
 };
 
+/// Gate-table entries by the kernel their matrix takes (static entries;
+/// a dynamic entry's shape depends on its binding).
+struct GateKinds {
+  std::size_t diagonal = 0;
+  std::size_t transposition = 0;
+  std::size_t dense = 0;
+  std::size_t dynamic = 0;
+};
+
+GateKinds gate_kinds(const sim::ExecPlan& plan) {
+  GateKinds k;
+  for (const sim::GateEntry& e : plan.gate_table()) {
+    if (e.dynamic) {
+      ++k.dynamic;
+      continue;
+    }
+    const sim::kernels::MatShape shape =
+        e.arity == 1 ? sim::kernels::classify(plan.table_mat2(e.index))
+                     : sim::kernels::classify(plan.table_mat4(e.index));
+    switch (shape.kind) {
+      case sim::kernels::MatShape::Kind::kDiagonal:
+        ++k.diagonal;
+        break;
+      case sim::kernels::MatShape::Kind::kTransposition:
+        ++k.transposition;
+        break;
+      case sim::kernels::MatShape::Kind::kDense:
+        ++k.dense;
+        break;
+    }
+  }
+  return k;
+}
+
 struct PlanAbPoint {
   int qubits = 0;
+  int layers = 0;
   std::size_t gates = 0;
   std::size_t fused_gates = 0;
+  std::size_t permutation_gates = 0;
+  GateKinds kinds;
   std::size_t stream_ops = 0;
   int forward_iters = 0;   ///< dataset_loss calls per rep (x kAbBatch samples)
   int gradient_iters = 0;  ///< loss_gradient calls per rep
@@ -477,12 +516,13 @@ double combined_ratio(const ArmTiming& base, const ArmTiming& arm) {
          (arm.forward_median_s + arm.gradient_median_s);
 }
 
-/// One circuit size: check probabilities, losses and adjoint gradients
-/// of both kernel arms bitwise against the oracle, then clock each arm.
-PlanAbPoint measure_plan_ab(int qubits, int forward_iters,
-                            int gradient_iters) {
-  const qnn::QnnModel m = model_for(qubits);
-  const qnn::QnnExecutor ex(m, device::table3_fleet(qubits)[0]);
+/// One CRz model of `qubits` x `layers` on `qpu`: check probabilities,
+/// losses and adjoint gradients of both kernel arms bitwise against the
+/// oracle, then clock each arm.
+PlanAbPoint measure_plan_ab(int qubits, int layers, const device::Qpu& qpu,
+                            int forward_iters, int gradient_iters) {
+  const qnn::QnnModel m(qnn::Backbone::kCRz, qubits, layers);
+  const qnn::QnnExecutor ex(m, qpu);
   const oracle::ExecutorOracle walk(ex);
 
   math::Rng rng(17u + static_cast<std::uint64_t>(qubits));
@@ -499,10 +539,13 @@ PlanAbPoint measure_plan_ab(int qubits, int forward_iters,
 
   PlanAbPoint p;
   p.qubits = qubits;
+  p.layers = layers;
   p.forward_iters = forward_iters;
   p.gradient_iters = gradient_iters;
   p.gates = ex.plan()->gate_count();
   p.fused_gates = ex.plan()->fused_gate_count();
+  p.permutation_gates = ex.plan()->permutation_gate_count();
+  p.kinds = gate_kinds(*ex.plan());
   p.stream_ops = ex.plan()->stream_op_count();
 
   // Bitwise verification of both kernel arms against the oracle (also
@@ -546,9 +589,14 @@ PlanAbPoint measure_plan_ab(int qubits, int forward_iters,
   sim::kernels::set_simd_runtime_enabled(simd_was);
   benchmark::DoNotOptimize(sink);
 
-  std::printf("  plan-ab q=%d  vs oracle: forward %.2fx  gradient %.2fx  "
-              "combined %.2fx | simd vs scalar %.2fx  identical=%s\n",
-              qubits, p.oracle.forward_median_s / p.simd.forward_median_s,
+  std::printf("  plan-ab q=%d l=%d  gate table %zu: %zu diagonal, %zu "
+              "transposition, %zu dense, %zu dynamic\n",
+              qubits, layers, p.gates, p.kinds.diagonal,
+              p.kinds.transposition, p.kinds.dense, p.kinds.dynamic);
+  std::printf("  plan-ab q=%d l=%d  vs oracle: forward %.2fx  gradient "
+              "%.2fx  combined %.2fx | simd vs scalar %.2fx  identical=%s\n",
+              qubits, layers,
+              p.oracle.forward_median_s / p.simd.forward_median_s,
               p.oracle.gradient_median_s / p.simd.gradient_median_s,
               combined_ratio(p.oracle, p.simd),
               combined_ratio(p.scalar, p.simd), p.identical ? "yes" : "NO");
@@ -667,13 +715,20 @@ int run_plan_ab_mode(const std::string& out_path) {
               sim::kernels::strict_reproducibility() ? "on" : "off");
   // The default set mirrors the training workloads the plan accelerates:
   // the paper's Table I models are 2-qubit (iris) and 4-qubit (wine/
-  // breast-cancer) backbones; 6 qubits adds headroom beyond them.
-  const std::vector<int> qubit_set = {2, 4, 6};
+  // breast-cancer) backbones; 6 qubits adds headroom beyond them. The
+  // last row is the train-hmdb51 shape: 10q x 10l on a routed 10-qubit
+  // QPU, whose gate table is mostly CX (few iterations: the circuit walk
+  // takes milliseconds per sample there).
   std::vector<PlanAbPoint> points;
-  for (int q : qubit_set) {
-    points.push_back(
-        measure_plan_ab(q, /*forward_iters=*/120, /*gradient_iters=*/60));
+  for (int q : {2, 4, 6}) {
+    points.push_back(measure_plan_ab(q, 2, device::table3_fleet(q)[0],
+                                     /*forward_iters=*/120,
+                                     /*gradient_iters=*/60));
   }
+  points.push_back(measure_plan_ab(10, 10,
+                                   device::table3_fleet_subset(10, 10)[0],
+                                   /*forward_iters=*/2,
+                                   /*gradient_iters=*/1));
 
   // Suite aggregates are geometric means over the benchmark circuits, so
   // each circuit counts once (the standard suite metric); a total-time
@@ -738,12 +793,16 @@ int run_plan_ab_mode(const std::string& out_path) {
     const PlanAbPoint& p = points[i];
     std::fprintf(
         f,
-        "%s\n    {\"qubits\": %d, \"layers\": 2, \"gates\": %zu, "
-        "\"fused_gates\": %zu, \"stream_ops\": %zu, \"batch\": %d, "
-        "\"reps\": %d, \"forward_iterations\": %d, "
+        "%s\n    {\"qubits\": %d, \"layers\": %d, \"gates\": %zu, "
+        "\"fused_gates\": %zu, \"permutation_gates\": %zu, "
+        "\"gate_kinds\": {\"diagonal\": %zu, \"transposition\": %zu, "
+        "\"dense\": %zu, \"dynamic\": %zu}, \"stream_ops\": %zu, "
+        "\"batch\": %d, \"reps\": %d, \"forward_iterations\": %d, "
         "\"gradient_iterations\": %d,\n     ",
-        i ? "," : "", p.qubits, p.gates, p.fused_gates, p.stream_ops,
-        kAbBatch, kAbReps, p.forward_iters, p.gradient_iters);
+        i ? "," : "", p.qubits, p.layers, p.gates, p.fused_gates,
+        p.permutation_gates, p.kinds.diagonal, p.kinds.transposition,
+        p.kinds.dense, p.kinds.dynamic, p.stream_ops, kAbBatch, kAbReps,
+        p.forward_iters, p.gradient_iters);
     write_arm("scalar", p.scalar, ", ");
     write_arm("simd", p.simd, ",\n     ");
     write_arm("oracle", p.oracle, ",\n     ");

@@ -175,8 +175,8 @@ std::vector<double> QnnExecutor::loss_gradient(
   }
   // Each block is packed once: the batched forward yields p for the
   // loss derivative (the same stream the loss reports), then the
-  // adjoint's gate-table forward runs as one batched sweep over the
-  // same packed params with a per-column reverse sweep. Samples write
+  // batched adjoint walks the gate table forward and back over the same
+  // packed params, the whole block per kernel call. Samples write
   // disjoint rows of `partial`, folded below in sample order — the
   // serial association, so gradients are bit-identical for every
   // thread count.

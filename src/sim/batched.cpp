@@ -25,26 +25,10 @@ namespace {
 
 using circuit::Mat2;
 using circuit::Mat4;
+using kernels::MatShape;
 using kernels::detail::insert_zero_bit;
 
-inline bool is_zero(const Complex& c) noexcept {
-  return c.real() == 0.0 && c.imag() == 0.0;
-}
-
-inline bool is_diag2(const Mat2& m) noexcept {
-  return is_zero(m[1]) && is_zero(m[2]);
-}
-
-inline bool is_diag4(const Mat4& m) noexcept {
-  for (int r = 0; r < 4; ++r) {
-    for (int c = 0; c < 4; ++c) {
-      if (r != c && !is_zero(m[static_cast<std::size_t>(4 * r + c)])) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
+inline std::size_t bit_of(int q) noexcept { return std::size_t{1} << q; }
 
 }  // namespace
 
@@ -78,49 +62,80 @@ std::size_t BatchedStatevector::fork_column(std::size_t src) {
   return live_++;
 }
 
+// Dispatch order for every apply_*: diagonal, then transposition, then
+// the dense butterfly (kernels::classify).
+
 void BatchedStatevector::apply_mat2_all(const Mat2& m, int q) {
-  if (is_diag2(m)) {
-    const Complex d[2] = {m[0], m[3]};
-    kernels::batched_diag(amps_.data(), dim_, batch_, live_, d, 0,
-                          std::size_t{1} << q);
-    return;
+  const MatShape shape = kernels::classify(m);
+  switch (shape.kind) {
+    case MatShape::Kind::kDiagonal: {
+      const Complex d[2] = {m[0], m[3]};
+      kernels::batched_diag(amps_.data(), dim_, batch_, live_, d, 0,
+                            bit_of(q));
+      return;
+    }
+    case MatShape::Kind::kTransposition:
+      kernels::batched_swap_rows(amps_.data(), dim_, batch_, live_, 0,
+                                 bit_of(q), shape.from, shape.to);
+      return;
+    case MatShape::Kind::kDense:
+      break;
   }
   kernels::batched_mat2(amps_.data(), dim_, batch_, live_, m, q);
 }
 
 void BatchedStatevector::apply_mat4_all(const Mat4& m, int qb, int qa) {
-  if (is_diag4(m)) {
-    const Complex d[4] = {m[0], m[5], m[10], m[15]};
-    kernels::batched_diag(amps_.data(), dim_, batch_, live_, d,
-                          std::size_t{1} << qb, std::size_t{1} << qa);
-    return;
+  const MatShape shape = kernels::classify(m);
+  switch (shape.kind) {
+    case MatShape::Kind::kDiagonal: {
+      const Complex d[4] = {m[0], m[5], m[10], m[15]};
+      kernels::batched_diag(amps_.data(), dim_, batch_, live_, d, bit_of(qb),
+                            bit_of(qa));
+      return;
+    }
+    case MatShape::Kind::kTransposition:
+      kernels::batched_swap_rows(amps_.data(), dim_, batch_, live_,
+                                 bit_of(qb), bit_of(qa), shape.from,
+                                 shape.to);
+      return;
+    case MatShape::Kind::kDense:
+      break;
   }
   kernels::batched_mat4(amps_.data(), dim_, batch_, live_, m, qb, qa);
 }
 
+// The per-column forms classify each matrix (an RZ column sits next to
+// an RX column) and partition the live columns into maximal runs of
+// equal shape, so every column takes exactly the kernel its matrix
+// would take in apply_*_all.
+
 void BatchedStatevector::apply_mat2_each(const Mat2* mats, int q) {
   diag_scratch_.resize(2 * live_);
-  // Diagonal dispatch is per-matrix (an RZ column sits next to an RX
-  // column): partition the live columns into maximal runs of equal
-  // dispatch so every column takes exactly the kernel it would take
-  // unbatched.
   std::size_t b = 0;
   while (b < live_) {
-    const bool diag = is_diag2(mats[b]);
+    const MatShape shape = kernels::classify(mats[b]);
     std::size_t e = b + 1;
-    while (e < live_ && is_diag2(mats[e]) == diag) ++e;
+    while (e < live_ && kernels::classify(mats[e]) == shape) ++e;
     const std::size_t count = e - b;
-    if (diag) {
-      Complex* const ds = diag_scratch_.data();
-      for (std::size_t k = 0; k < count; ++k) {
-        ds[k] = mats[b + k][0];
-        ds[count + k] = mats[b + k][3];
+    switch (shape.kind) {
+      case MatShape::Kind::kDiagonal: {
+        Complex* const ds = diag_scratch_.data();
+        for (std::size_t k = 0; k < count; ++k) {
+          ds[k] = mats[b + k][0];
+          ds[count + k] = mats[b + k][3];
+        }
+        kernels::batched_diag_each(amps_.data() + b, dim_, batch_, count, ds,
+                                   0, bit_of(q));
+        break;
       }
-      kernels::batched_diag_each(amps_.data() + b, dim_, batch_, count, ds,
-                                 0, std::size_t{1} << q);
-    } else {
-      kernels::batched_mat2_each(amps_.data() + b, dim_, batch_, count,
-                                 mats + b, q);
+      case MatShape::Kind::kTransposition:
+        kernels::batched_swap_rows(amps_.data() + b, dim_, batch_, count, 0,
+                                   bit_of(q), shape.from, shape.to);
+        break;
+      case MatShape::Kind::kDense:
+        kernels::batched_mat2_each(amps_.data() + b, dim_, batch_, count,
+                                   mats + b, q);
+        break;
     }
     b = e;
   }
@@ -130,24 +145,33 @@ void BatchedStatevector::apply_mat4_each(const Mat4* mats, int qb, int qa) {
   diag_scratch_.resize(4 * live_);
   std::size_t b = 0;
   while (b < live_) {
-    const bool diag = is_diag4(mats[b]);
+    const MatShape shape = kernels::classify(mats[b]);
     std::size_t e = b + 1;
-    while (e < live_ && is_diag4(mats[e]) == diag) ++e;
+    while (e < live_ && kernels::classify(mats[e]) == shape) ++e;
     const std::size_t count = e - b;
-    if (diag) {
-      Complex* const ds = diag_scratch_.data();
-      for (std::size_t k = 0; k < count; ++k) {
-        const Mat4& m = mats[b + k];
-        ds[k] = m[0];
-        ds[count + k] = m[5];
-        ds[2 * count + k] = m[10];
-        ds[3 * count + k] = m[15];
+    switch (shape.kind) {
+      case MatShape::Kind::kDiagonal: {
+        Complex* const ds = diag_scratch_.data();
+        for (std::size_t k = 0; k < count; ++k) {
+          const Mat4& m = mats[b + k];
+          ds[k] = m[0];
+          ds[count + k] = m[5];
+          ds[2 * count + k] = m[10];
+          ds[3 * count + k] = m[15];
+        }
+        kernels::batched_diag_each(amps_.data() + b, dim_, batch_, count, ds,
+                                   bit_of(qb), bit_of(qa));
+        break;
       }
-      kernels::batched_diag_each(amps_.data() + b, dim_, batch_, count, ds,
-                                 std::size_t{1} << qb, std::size_t{1} << qa);
-    } else {
-      kernels::batched_mat4_each(amps_.data() + b, dim_, batch_, count,
-                                 mats + b, qb, qa);
+      case MatShape::Kind::kTransposition:
+        kernels::batched_swap_rows(amps_.data() + b, dim_, batch_, count,
+                                   bit_of(qb), bit_of(qa), shape.from,
+                                   shape.to);
+        break;
+      case MatShape::Kind::kDense:
+        kernels::batched_mat4_each(amps_.data() + b, dim_, batch_, count,
+                                   mats + b, qb, qa);
+        break;
     }
     b = e;
   }
@@ -155,8 +179,9 @@ void BatchedStatevector::apply_mat4_each(const Mat4* mats, int qb, int qa) {
 
 void BatchedStatevector::apply_mat2_col(const Mat2& m, int q,
                                         std::size_t col) {
-  const std::size_t bit = std::size_t{1} << q;
-  if (is_diag2(m)) {
+  const std::size_t bit = bit_of(q);
+  const MatShape shape = kernels::classify(m);
+  if (shape.kind == MatShape::Kind::kDiagonal) {
     const Complex d0 = m[0];
     const Complex d1 = m[3];
     for (std::size_t i = 0; i < dim_; ++i) {
@@ -169,8 +194,13 @@ void BatchedStatevector::apply_mat2_col(const Mat2& m, int q,
     const std::size_t i1 = i0 | bit;
     const Complex a0 = row(i0)[col];
     const Complex a1 = row(i1)[col];
-    row(i0)[col] = m[0] * a0 + m[1] * a1;
-    row(i1)[col] = m[2] * a0 + m[3] * a1;
+    if (shape.kind == MatShape::Kind::kTransposition) {
+      row(i0)[col] = a1;
+      row(i1)[col] = a0;
+    } else {
+      row(i0)[col] = m[0] * a0 + m[1] * a1;
+      row(i1)[col] = m[2] * a0 + m[3] * a1;
+    }
   }
 }
 
@@ -357,6 +387,7 @@ void ExecPlan::expectation_z_batched(const double* params, std::size_t stride,
                                      std::size_t batch, int qubit,
                                      BatchedWorkspace& ws,
                                      double* out) const {
+  check_readout(qubit, "expectation_z_batched");
   const BatchedStatevector& st = run_batched(params, stride, batch, ws);
   st.probability_of_one_all(qubit, out);
   for (std::size_t b = 0; b < batch; ++b) {
@@ -374,6 +405,7 @@ std::uint64_t StatevectorSimulator::sample_marginal_ones(
     throw std::invalid_argument(
         "sample_marginal_ones: shots/trajectories invalid");
   }
+  plan.check_readout(qubit, "sample_marginal_ones");
   AQ_TRACE_SPAN("sim.sample.marginal");
   AQ_COUNTER_ADD("sim.sample.shots", static_cast<std::uint64_t>(opts.shots));
   const auto n_traj =

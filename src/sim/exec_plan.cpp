@@ -2,8 +2,10 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
+#include "arbiterq/sim/kernels.hpp"
 #include "arbiterq/telemetry/metrics.hpp"
 #include "arbiterq/telemetry/trace.hpp"
 
@@ -37,27 +39,14 @@ std::uint64_t next_plan_id() {
 // ---------------------------------------------------------------------------
 // Workspace
 
-Statevector& Workspace::reuse(std::optional<Statevector>& slot, int num_qubits,
-                              const exec::ExecPolicy& policy) {
-  if (!slot.has_value() || slot->num_qubits() != num_qubits) {
-    slot.emplace(num_qubits);
-  }
-  slot->set_exec_policy(policy);
-  return *slot;
-}
-
 Statevector& Workspace::state(int num_qubits, const exec::ExecPolicy& policy) {
-  Statevector& sv = reuse(state_, num_qubits, policy);
-  sv.reset();
-  return sv;
-}
-
-Statevector& Workspace::lambda(int num_qubits, const exec::ExecPolicy& policy) {
-  return reuse(lambda_, num_qubits, policy);
-}
-
-Statevector& Workspace::mu(int num_qubits, const exec::ExecPolicy& policy) {
-  return reuse(mu_, num_qubits, policy);
+  if (!state_.has_value() || state_->num_qubits() != num_qubits) {
+    state_.emplace(num_qubits);
+  } else {
+    state_->reset();
+  }
+  state_->set_exec_policy(policy);
+  return *state_;
 }
 
 // ---------------------------------------------------------------------------
@@ -237,6 +226,27 @@ ExecPlan::ExecPlan(const circuit::Circuit& c, const NoiseModel& noise,
 void ExecPlan::check_params(std::span<const double> params) const {
   if (static_cast<int>(params.size()) < num_params_) {
     throw std::invalid_argument("ExecPlan: params too short");
+  }
+}
+
+std::size_t ExecPlan::permutation_gate_count() const {
+  std::size_t n = 0;
+  for (const GateEntry& e : table_) {
+    if (e.dynamic) continue;
+    const auto i = static_cast<std::size_t>(e.index);
+    const kernels::MatShape shape = e.arity == 1
+                                        ? kernels::classify(table1q_[i])
+                                        : kernels::classify(table2q_[i]);
+    if (shape.kind == kernels::MatShape::Kind::kTransposition) ++n;
+  }
+  return n;
+}
+
+void ExecPlan::check_readout(int qubit, const char* caller) const {
+  if (qubit < 0 || qubit >= num_qubits_) {
+    throw std::invalid_argument(std::string(caller) + ": readout qubit " +
+                                std::to_string(qubit) + " outside [0, " +
+                                std::to_string(num_qubits_) + ")");
   }
 }
 

@@ -16,11 +16,14 @@
 //     grad_p += 2 Re <lambda| dG_k/dp |psi>   for each bound parameter
 //     lambda <- G_k^dagger lambda
 //
-// Two entry points: the naive path re-walks the circuit per call; the
-// ExecPlan path reuses precompiled matrices and workspace registers and
-// is bit-identical to it (tests/test_exec_plan.cpp). Production
-// (qnn::QnnExecutor) runs the plan path; the circuit-walking overloads
-// are its reference oracle (tests/executor_oracle.hpp).
+// Two entry points: the circuit walk re-walks the circuit per call on
+// one dense Statevector; the batched plan gradient runs a block of
+// samples through precompiled matrices on two BatchedStatevector
+// registers (psi and lambda), forward and reverse. Production
+// (qnn::QnnExecutor) runs the batched path, batch 1 included; the
+// circuit-walking overloads are its reference oracle
+// (tests/executor_oracle.hpp), compared with == in tests/test_exec_plan
+// and tests/test_batched.
 
 #include <span>
 #include <vector>
@@ -49,25 +52,21 @@ std::vector<double> adjoint_gradient_z(const circuit::Circuit& c,
                                        int qubit, const NoiseModel* noise,
                                        double survival);
 
-/// Plan-based gradient into a caller-provided span (>= num_params).
-/// Zero heap allocations after the workspace is warm. Bit-identical to
-/// the naive path above.
-void adjoint_gradient_z(const ExecPlan& plan, std::span<const double> params,
-                        int qubit, Workspace& ws, std::span<double> grad);
-
-/// Allocating convenience wrapper around the span variant.
-std::vector<double> adjoint_gradient_z(const ExecPlan& plan,
-                                       std::span<const double> params,
-                                       int qubit, Workspace& ws);
-
 /// Sample-batched plan gradient: sample b's parameter binding starts at
 /// params + b * stride (stride >= num_params) and its gradient is
-/// written to grads + b * num_params. The forward walk over the
-/// unfused gate table runs as one batched mini-GEMM sweep; the reverse
-/// sweep then runs per column against that column's bound matrices, so
-/// every sample's gradient is bit-identical to the unbatched plan
-/// overload above (under strict reproducibility; the opt-in fast arm
-/// is ULP-equivalent, matching the batched forward contract).
+/// written to grads + b * num_params. Both halves walk the unfused gate
+/// table over the whole block: each gate is applied (forward) or
+/// un-applied (reverse, to psi and lambda) by one register kernel —
+/// the broadcast form when every column bound the same angles, the
+/// per-column form otherwise — and each gradient term's bracket is one
+/// batched reduction with the circuit walk's per-column association.
+/// Every sample's gradient therefore equals (==) the circuit walk's,
+/// with identical bits on every nonzero entry (CX/SWAP/X run as row
+/// swaps here, see batched.hpp), under strict reproducibility; the
+/// opt-in fast arm is ULP-equivalent. Throws std::invalid_argument when
+/// stride < num_params or the readout qubit is outside
+/// [0, num_qubits). Zero heap allocations once `ws` is warm for the
+/// plan and batch width.
 void adjoint_gradient_z_batched(const ExecPlan& plan, const double* params,
                                 std::size_t stride, std::size_t batch,
                                 int qubit, BatchedWorkspace& ws,

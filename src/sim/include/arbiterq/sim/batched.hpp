@@ -15,10 +15,13 @@
 // unbatched kernels (kernels.hpp), the batched bind replays bind()'s
 // fold per column, and the Z-expectation accumulates in the same basis
 // order per sample — so batched results are bit-identical across batch
-// sizes, and under strict reproducibility also bit-identical to the
-// unbatched path. (In the opt-in fast arm an odd trailing column of a
-// per-column kernel runs the scalar tail loop and may differ from the
-// FMA lanes by ULPs.)
+// sizes, and under strict reproducibility equal (==) to the unbatched
+// path, with identical bits on every nonzero value. The one departure
+// is the transposition arm: CX/SWAP/X move amplitudes here where the
+// unbatched register computes 1*a + 0*b + ..., which can differ only in
+// the sign of an exact zero. (In the opt-in fast arm an odd trailing
+// column of a per-column kernel runs the scalar tail loop and may
+// differ from the FMA lanes by ULPs.)
 //
 // Only columns [0, live) evolve. A forward pass keeps every column
 // live; the trajectory sampler (StatevectorSimulator::
@@ -75,21 +78,22 @@ class BatchedStatevector {
     return amps_.data() + i * batch_;
   }
 
-  /// Apply one matrix to every live column (broadcast mini-GEMM, one
-  /// kernel call per gate), with the same diagonal fast path as
-  /// Statevector::apply_mat2/apply_mat4.
+  /// Apply one matrix to every live column, one kernel call per gate.
+  /// Dispatch follows kernels::classify: a diagonal matrix scales rows,
+  /// an exact transposition (CX, SWAP, X) swaps rows, anything else
+  /// runs the dense broadcast mini-GEMM. Statevector keeps transpositions
+  /// dense; the two agree under == (kernels::batched_swap_rows).
   void apply_mat2_all(const circuit::Mat2& m, int q);
   void apply_mat4_all(const circuit::Mat4& m, int qb, int qa);
 
-  /// Apply mats[b] to live column b. The diagonal dispatch is
-  /// per-matrix, so columns are partitioned into maximal runs of equal
-  /// dispatch and each run takes the kernel its matrices would take
-  /// unbatched.
+  /// Apply mats[b] to live column b. Dispatch is per matrix, so columns
+  /// are partitioned into maximal runs of equal kernels::classify shape
+  /// and each run takes the kernel apply_*_all would give its matrices.
   void apply_mat2_each(const circuit::Mat2* mats, int q);
   void apply_mat4_each(const circuit::Mat4* mats, int qb, int qa);
 
-  /// Apply one matrix to a single column (scalar walk; used for sparse
-  /// per-trajectory Pauli insertions).
+  /// Apply one matrix to a single column (scalar walk, same dispatch
+  /// order; used for sparse per-trajectory Pauli insertions).
   void apply_mat2_col(const circuit::Mat2& m, int q, std::size_t col);
   void apply_pauli_col(int pauli, int q, std::size_t col);
 
@@ -117,6 +121,9 @@ class BatchedWorkspace {
   BatchedWorkspace() = default;
 
   BatchedStatevector& state() noexcept { return state_; }
+  /// The batched adjoint's second register (lambda = Z psi, walked
+  /// backwards alongside state()).
+  BatchedStatevector& lambda() noexcept { return lambda_; }
 
   /// Caller scratch: packed per-sample parameters (sample b's binding
   /// at [b * stride, b * stride + num_params)) and per-sample outputs.
@@ -160,17 +167,24 @@ class BatchedWorkspace {
   };
   TrajectoryScratch traj;
 
-  /// Batched-adjoint scratch: one gate-table workspace per sample
-  /// column (each keeps its own bind_gates memo, so the weight-gate
-  /// rebind skip works exactly as in the unbatched path and the
-  /// reverse sweep runs against that column's bound matrices), plus
-  /// column-gathered dynamic matrices for the batched forward walk.
+  /// Batched-adjoint scratch. col_gates holds one gate-table binding
+  /// per sample column: bind_gates' matrices, their adjoints and the
+  /// derivative matrices, each under that column's own angle memo, so
+  /// weight gates skip their trig rebuild after warm-up. Only the bound
+  /// matrices live there; both halves of the walk run on state() and
+  /// lambda(). gate_uniform flags, per gate-table entry, a gate whose
+  /// bound angles agree across the block (broadcast kernels, one
+  /// matrix); the scratch vectors gather per-column matrices for the
+  /// other gates and hold the per-column bracket results.
   std::vector<std::unique_ptr<Workspace>> col_gates;
+  std::vector<std::uint8_t> gate_uniform;
   std::vector<circuit::Mat2> mat2_scratch;
   std::vector<circuit::Mat4> mat4_scratch;
+  std::vector<Complex> brackets;
 
  private:
   BatchedStatevector state_;
+  BatchedStatevector lambda_;
 };
 
 /// Mutex-guarded free list of BatchedWorkspaces, mirroring

@@ -7,9 +7,10 @@
 //
 // An ExecPlan is immutable after construction and safe to share across
 // threads. All per-evaluation mutable state (the statevector register,
-// bound matrices for parameterized slots, adjoint scratch registers)
-// lives in a Workspace, so steady-state evaluation performs zero heap
-// allocations and a pool of workspaces serves concurrent callers.
+// bound matrices for parameterized slots and gate-table walks) lives in
+// a Workspace (or, for batched work, a BatchedWorkspace), so
+// steady-state evaluation performs zero heap allocations and a pool of
+// workspaces serves concurrent callers.
 //
 // Determinism contract: a plan's output is bit-identical to the naive
 // path. The fused-run fold replicates run_biased's exact left-multiply
@@ -52,10 +53,6 @@ class Workspace {
 
   /// The main register, reset to |0...0> with the given policy stamped.
   Statevector& state(int num_qubits, const exec::ExecPolicy& policy);
-  /// Adjoint scratch registers. Not reset — callers overwrite them by
-  /// assignment (which reuses the existing allocation).
-  Statevector& lambda(int num_qubits, const exec::ExecPolicy& policy);
-  Statevector& mu(int num_qubits, const exec::ExecPolicy& policy);
 
   /// Bound matrices for the plan's parameterized stream slots.
   std::vector<circuit::Mat2> bound1q;
@@ -90,12 +87,7 @@ class Workspace {
   std::vector<std::array<double, 3>> memo2q;
 
  private:
-  static Statevector& reuse(std::optional<Statevector>& slot, int num_qubits,
-                            const exec::ExecPolicy& policy);
-
   std::optional<Statevector> state_;
-  std::optional<Statevector> lambda_;
-  std::optional<Statevector> mu_;
 };
 
 /// Mutex-guarded free list of Workspaces. acquire() hands out a lease
@@ -251,6 +243,11 @@ class ExecPlan {
   std::size_t stream_op_count() const noexcept { return stream_.size(); }
   /// Gates whose matrix work was fully hoisted to compile time.
   std::size_t fused_gate_count() const noexcept { return fused_gates_; }
+  /// Static gate-table entries whose matrix is an exact transposition
+  /// (CX, SWAP, X): the batched register applies them as row swaps.
+  /// Counted on each call (O(gates)), so compiling a plan pays nothing
+  /// for it.
+  std::size_t permutation_gate_count() const;
   std::size_t bound_slot_count() const noexcept {
     return bound1q_.size() + bound2q_.size();
   }
@@ -266,7 +263,8 @@ class ExecPlan {
                        Workspace& ws) const;
 
   /// Rebuild the gate table's dynamic matrices + bound angles into `ws`
-  /// (for the adjoint walk in adjoint.hpp).
+  /// (for the batched adjoint in adjoint.hpp and the trajectory
+  /// sampler).
   void bind_gates(std::span<const double> params, Workspace& ws) const;
 
   /// Sample-batched forward (batched.hpp / batched.cpp). `params` holds
@@ -303,6 +301,10 @@ class ExecPlan {
   const circuit::Mat4& table_mat4_adjoint(int i) const {
     return table2q_adj_[static_cast<std::size_t>(i)];
   }
+
+  /// Throws std::invalid_argument unless 0 <= qubit < num_qubits();
+  /// `caller` names the entry point in the message.
+  void check_readout(int qubit, const char* caller) const;
 
  private:
   void check_params(std::span<const double> params) const;

@@ -23,17 +23,19 @@
 //  * ARBITERQ_SIMD=OFF (env) or set_simd_runtime_enabled(false) forces
 //    the scalar arm — field regressions stay bisectable.
 //  * ARBITERQ_STRICT_REPRO=0 (env) or set_strict_reproducibility(false)
-//    opts into the FMA arm and vectorized bracket reductions. The
-//    default is strict: every public result is bit-identical to the
-//    scalar build.
+//    opts into the FMA arm. The default is strict: every public result
+//    is bit-identical to the scalar build.
 //
 // Reduction caveat: the bracket kernels accumulate over amplitude
-// indices, so a vector accumulator changes the summation association.
-// Under strict reproducibility brackets therefore run scalar; the FMA
-// arm carries lane accumulators and a documented ULP bound instead.
+// indices, so a vector accumulator would change the summation
+// association. The unbatched brackets (used by the circuit-walk
+// adjoint, the reference oracle) therefore run scalar in every arm;
+// the batched brackets vectorize across columns, not indices, so their
+// AVX2 form keeps the scalar association in every arm too.
 
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 
 #include "arbiterq/circuit/unitary.hpp"
 
@@ -42,6 +44,32 @@ namespace arbiterq::sim::kernels {
 using circuit::Complex;
 using circuit::Mat2;
 using circuit::Mat4;
+
+// ---------------------------------------------------------------------------
+// Matrix classification
+
+/// What a gate matrix lets a kernel skip, checked in this order:
+///  * kDiagonal      — every off-diagonal entry is an exact zero (of
+///                     either sign): one multiply per amplitude.
+///  * kTransposition — every entry is exactly 1 (+-0i) or an exact zero,
+///                     one 1 per row and column, and exactly two basis
+///                     rows trade places (CX either way round, SWAP, X):
+///                     a pure amplitude move, no arithmetic.
+///  * kDense         — anything else, including near misses (1 + 1 ulp,
+///                     a -1 entry, a 3-cycle).
+/// Rows are numbered like batched_diag's selector: 2 * (qb bit) + (qa
+/// bit) for a 4x4 matrix, the q bit for a 2x2 one.
+struct MatShape {
+  enum class Kind : std::uint8_t { kDiagonal, kTransposition, kDense };
+  Kind kind = Kind::kDense;
+  /// kTransposition only: the two rows that trade places, from < to.
+  std::uint8_t from = 0;
+  std::uint8_t to = 0;
+  bool operator==(const MatShape&) const = default;
+};
+
+MatShape classify(const Mat2& m) noexcept;
+MatShape classify(const Mat4& m) noexcept;
 
 // ---------------------------------------------------------------------------
 // Dispatch control
@@ -94,7 +122,8 @@ void apply_diag4_range(Complex* amps, const Complex* d, std::size_t bit_b,
                        std::size_t bit_a, std::size_t lo, std::size_t hi);
 
 /// <lambda| M |psi> accumulated in amplitude-index order, including the
-/// diagonal dispatch of apply_mat2 (see adjoint.cpp for the contract).
+/// diagonal dispatch of Statevector::apply_mat2/apply_mat4 (which treat
+/// a transposition as dense; see adjoint.cpp for the contract).
 Complex bracket_1q(const Complex* lam, const Complex* psi, std::size_t n,
                    const Mat2& m, int q);
 Complex bracket_2q(const Complex* lam, const Complex* psi, std::size_t n,
@@ -134,5 +163,40 @@ void batched_diag(Complex* amps, std::size_t dim, std::size_t stride,
 void batched_diag_each(Complex* amps, std::size_t dim, std::size_t stride,
                        std::size_t count, const Complex* ds,
                        std::size_t bit_b, std::size_t bit_a);
+/// Transposition fast path: every row whose selector (as in
+/// batched_diag) is `from` trades columns [0, count) with the row that
+/// differs only in having selector `to`. A pure move with no arithmetic,
+/// so there is one arm for every architecture. Against the dense kernel
+/// on the same 0/1 matrix (which computes 1*a + 0*b + ...) every entry
+/// compares ==, and every nonzero entry has identical bits: the dense
+/// sum can differ only in the sign of an exact zero.
+void batched_swap_rows(Complex* amps, std::size_t dim, std::size_t stride,
+                       std::size_t count, std::size_t bit_b,
+                       std::size_t bit_a, unsigned from, unsigned to);
+
+/// Batched adjoint brackets: out[b] = <lam_b| M |psi_b> for columns
+/// [0, count) of two registers with the same shape. Rows are walked in
+/// basis order with the columns as lanes, so every column's sum has the
+/// exact association (and the same diagonal dispatch) as bracket_1q /
+/// bracket_2q's scalar arm run on that column alone. That holds in
+/// every arm: the AVX2 form keeps two-rounding products even when
+/// strict reproducibility is off, as its lanes are columns rather than
+/// a reassociated sum. The _each forms take mats[b] for column b.
+void batched_bracket_1q(const Complex* lam, const Complex* psi,
+                        std::size_t dim, std::size_t stride,
+                        std::size_t count, const Mat2& m, int q,
+                        Complex* out);
+void batched_bracket_1q_each(const Complex* lam, const Complex* psi,
+                             std::size_t dim, std::size_t stride,
+                             std::size_t count, const Mat2* mats, int q,
+                             Complex* out);
+void batched_bracket_2q(const Complex* lam, const Complex* psi,
+                        std::size_t dim, std::size_t stride,
+                        std::size_t count, const Mat4& m, int qb, int qa,
+                        Complex* out);
+void batched_bracket_2q_each(const Complex* lam, const Complex* psi,
+                             std::size_t dim, std::size_t stride,
+                             std::size_t count, const Mat4* mats, int qb,
+                             int qa, Complex* out);
 
 }  // namespace arbiterq::sim::kernels

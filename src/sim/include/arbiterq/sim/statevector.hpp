@@ -54,12 +54,6 @@ class Statevector {
   /// Back to |0...0>.
   void reset();
 
-  /// Overwrite the register from a strided source: amps[i] =
-  /// src[i * stride]. The batched adjoint uses this to peel one sample
-  /// column out of a BatchedStatevector (src = row(0) + column,
-  /// stride = batch). The source must hold dim() strided elements.
-  void load_strided(const Complex* src, std::size_t stride);
-
   void apply_mat2(const circuit::Mat2& m, int q);
   /// qb is the bit matching the matrix's high index (gate.qubits[0]),
   /// qa the low one (gate.qubits[1]); see unitary.hpp for the convention.

@@ -1,6 +1,8 @@
 #include "arbiterq/sim/kernels.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cctype>
 #include <cstdlib>
 #include <string>
@@ -45,6 +47,46 @@ bool flag_slow(std::atomic<signed char>& state, const char* env,
 
 inline bool is_zero(const Complex& c) noexcept {
   return c.real() == 0.0 && c.imag() == 0.0;
+}
+
+template <std::size_t N>
+MatShape classify_square(const Complex* m) noexcept {
+  bool diagonal = true;
+  for (std::size_t r = 0; r < N && diagonal; ++r) {
+    for (std::size_t c = 0; c < N; ++c) {
+      if (r != c && !is_zero(m[r * N + c])) {
+        diagonal = false;
+        break;
+      }
+    }
+  }
+  if (diagonal) return {MatShape::Kind::kDiagonal, 0, 0};
+  // A transposition: every row holds one exact 1 and zeros, and exactly
+  // two rows point away from the diagonal, at each other.
+  std::size_t moved[2] = {0, 0};
+  std::size_t col_of[N] = {};
+  std::size_t n_moved = 0;
+  for (std::size_t r = 0; r < N; ++r) {
+    std::size_t ones = 0;
+    for (std::size_t c = 0; c < N; ++c) {
+      const Complex& v = m[r * N + c];
+      if (is_zero(v)) continue;
+      if (v.real() != 1.0 || v.imag() != 0.0 || ++ones > 1) return {};
+      col_of[r] = c;
+    }
+    if (ones == 0) return {};
+    if (col_of[r] != r) {
+      if (n_moved == 2) return {};
+      moved[n_moved++] = r;
+    }
+  }
+  if (n_moved != 2 || col_of[moved[0]] != moved[1] ||
+      col_of[moved[1]] != moved[0]) {
+    return {};
+  }
+  return {MatShape::Kind::kTransposition,
+          static_cast<std::uint8_t>(moved[0]),
+          static_cast<std::uint8_t>(moved[1])};
 }
 
 // ---------------------------------------------------------------------------
@@ -105,7 +147,7 @@ Complex bracket_1q_scalar(const Complex* lam, const Complex* psi,
                           std::size_t n, const Mat2& m, int q) {
   const std::size_t bit = std::size_t{1} << q;
   Complex acc{0.0, 0.0};
-  if (is_zero(m[1]) && is_zero(m[2])) {
+  if (classify(m).kind == MatShape::Kind::kDiagonal) {
     const Complex d0 = m[0], d1 = m[3];
     for (std::size_t i = 0; i < n; ++i) {
       acc += std::conj(lam[i]) * (psi[i] * ((i & bit) ? d1 : d0));
@@ -125,17 +167,8 @@ Complex bracket_2q_scalar(const Complex* lam, const Complex* psi,
                           std::size_t n, const Mat4& m, int qb, int qa) {
   const std::size_t bit_b = std::size_t{1} << qb;
   const std::size_t bit_a = std::size_t{1} << qa;
-  bool diagonal = true;
-  for (int r = 0; r < 4 && diagonal; ++r) {
-    for (int c = 0; c < 4; ++c) {
-      if (r != c && !is_zero(m[static_cast<std::size_t>(4 * r + c)])) {
-        diagonal = false;
-        break;
-      }
-    }
-  }
   Complex acc{0.0, 0.0};
-  if (diagonal) {
+  if (classify(m).kind == MatShape::Kind::kDiagonal) {
     const Complex d[4] = {m[0], m[5], m[10], m[15]};
     for (std::size_t i = 0; i < n; ++i) {
       const unsigned sel = ((i & bit_b) ? 2U : 0U) | ((i & bit_a) ? 1U : 0U);
@@ -243,7 +276,136 @@ void batched_diag_each_scalar(Complex* amps, std::size_t dim,
                        });
 }
 
+// ---------------------------------------------------------------------------
+// Batched brackets. Lanes are columns, so a column's sum sees
+// bracket_*_scalar's exact sequence of operations; column b reads its
+// matrix at mats[b * step] (step 0 broadcasts). Both AVX2 arms run the
+// strict two-rounding vector form (kernels_avx2.cpp), so every arm
+// returns the same bits.
+
+void batched_bracket_1q_run_scalar(const Complex* lam, const Complex* psi,
+                                   std::size_t dim, std::size_t stride,
+                                   std::size_t count, const Mat2* mats,
+                                   std::size_t step, bool diagonal, int q,
+                                   Complex* out) {
+  const std::size_t bit = std::size_t{1} << q;
+  std::fill_n(out, count, Complex{0.0, 0.0});
+  for (std::size_t i = 0; i < dim; ++i) {
+    const Complex* const l = lam + i * stride;
+    if (diagonal) {
+      const Complex* const p = psi + i * stride;
+      const std::size_t e = (i & bit) ? 3 : 0;
+      for (std::size_t b = 0; b < count; ++b) {
+        out[b] += std::conj(l[b]) * (p[b] * mats[b * step][e]);
+      }
+      continue;
+    }
+    // Row i's output mixes the pair (i0, i1) with the matrix row that
+    // i's q bit selects: m0*psi[i] + m1*psi[i|bit] or
+    // m2*psi[i&~bit] + m3*psi[i].
+    const std::size_t e = (i & bit) ? 2 : 0;
+    const Complex* const p0 = psi + (i & ~bit) * stride;
+    const Complex* const p1 = psi + (i | bit) * stride;
+    for (std::size_t b = 0; b < count; ++b) {
+      const Complex* const m = mats[b * step].data() + e;
+      out[b] += std::conj(l[b]) * (m[0] * p0[b] + m[1] * p1[b]);
+    }
+  }
+}
+
+void batched_bracket_2q_run_scalar(const Complex* lam, const Complex* psi,
+                                   std::size_t dim, std::size_t stride,
+                                   std::size_t count, const Mat4* mats,
+                                   std::size_t step, bool diagonal, int qb,
+                                   int qa, Complex* out) {
+  const std::size_t bit_b = std::size_t{1} << qb;
+  const std::size_t bit_a = std::size_t{1} << qa;
+  const std::size_t mask = bit_b | bit_a;
+  std::fill_n(out, count, Complex{0.0, 0.0});
+  for (std::size_t i = 0; i < dim; ++i) {
+    const Complex* const l = lam + i * stride;
+    const unsigned sel = ((i & bit_b) ? 2U : 0U) | ((i & bit_a) ? 1U : 0U);
+    if (diagonal) {
+      const Complex* const p = psi + i * stride;
+      const std::size_t e = 5 * sel;
+      for (std::size_t b = 0; b < count; ++b) {
+        out[b] += std::conj(l[b]) * (p[b] * mats[b * step][e]);
+      }
+      continue;
+    }
+    const std::size_t base = i & ~mask;
+    const Complex* const a00 = psi + base * stride;
+    const Complex* const a01 = psi + (base | bit_a) * stride;
+    const Complex* const a10 = psi + (base | bit_b) * stride;
+    const Complex* const a11 = psi + (base | bit_b | bit_a) * stride;
+    for (std::size_t b = 0; b < count; ++b) {
+      const Complex* const row = mats[b * step].data() + 4 * sel;
+      out[b] += std::conj(l[b]) * (row[0] * a00[b] + row[1] * a01[b] +
+                                   row[2] * a10[b] + row[3] * a11[b]);
+    }
+  }
+}
+
+void batched_bracket_1q_run(const Complex* lam, const Complex* psi,
+                            std::size_t dim, std::size_t stride,
+                            std::size_t count, const Mat2* mats,
+                            std::size_t step, bool diagonal, int q,
+                            Complex* out) {
+#if defined(ARBITERQ_SIMD_AVX2)
+  if (active_arch() != KernelArch::kScalar) {
+    detail::batched_bracket_1q_run_avx2(lam, psi, dim, stride, count, mats,
+                                        step, diagonal, q, out);
+    return;
+  }
+#endif
+  batched_bracket_1q_run_scalar(lam, psi, dim, stride, count, mats, step,
+                                diagonal, q, out);
+}
+
+void batched_bracket_2q_run(const Complex* lam, const Complex* psi,
+                            std::size_t dim, std::size_t stride,
+                            std::size_t count, const Mat4* mats,
+                            std::size_t step, bool diagonal, int qb, int qa,
+                            Complex* out) {
+#if defined(ARBITERQ_SIMD_AVX2)
+  if (active_arch() != KernelArch::kScalar) {
+    detail::batched_bracket_2q_run_avx2(lam, psi, dim, stride, count, mats,
+                                        step, diagonal, qb, qa, out);
+    return;
+  }
+#endif
+  batched_bracket_2q_run_scalar(lam, psi, dim, stride, count, mats, step,
+                                diagonal, qb, qa, out);
+}
+
+/// Per-column matrices: split the columns into maximal runs of equal
+/// diagonal dispatch, so each column takes the arm its matrix would
+/// take in bracket_*_scalar.
+template <typename Mat, typename Run>
+void batched_bracket_each(std::size_t count, const Mat* mats,
+                          const Run& run) {
+  std::size_t b = 0;
+  while (b < count) {
+    const bool diag = classify(mats[b]).kind == MatShape::Kind::kDiagonal;
+    std::size_t e = b + 1;
+    while (e < count &&
+           (classify(mats[e]).kind == MatShape::Kind::kDiagonal) == diag) {
+      ++e;
+    }
+    run(b, e - b, diag);
+    b = e;
+  }
+}
+
 }  // namespace
+
+MatShape classify(const Mat2& m) noexcept {
+  return classify_square<2>(m.data());
+}
+
+MatShape classify(const Mat4& m) noexcept {
+  return classify_square<4>(m.data());
+}
 
 // ---------------------------------------------------------------------------
 // Dispatch control
@@ -350,25 +512,15 @@ void apply_diag4_range(Complex* amps, const Complex* d, std::size_t bit_b,
               hi);
 }
 
-// Brackets are reductions: the strict arm stays scalar (a vector
-// accumulator would reassociate the sum), the fast arm vectorizes.
+// The unbatched brackets serve the circuit-walk adjoint, the reference
+// oracle, so they keep the scalar reduction in every arm.
 Complex bracket_1q(const Complex* lam, const Complex* psi, std::size_t n,
                    const Mat2& m, int q) {
-#if defined(ARBITERQ_SIMD_AVX2)
-  if (active_arch() == KernelArch::kAvx2Fma) {
-    return detail::bracket_1q_avx2(lam, psi, n, m, q);
-  }
-#endif
   return bracket_1q_scalar(lam, psi, n, m, q);
 }
 
 Complex bracket_2q(const Complex* lam, const Complex* psi, std::size_t n,
                    const Mat4& m, int qb, int qa) {
-#if defined(ARBITERQ_SIMD_AVX2)
-  if (active_arch() == KernelArch::kAvx2Fma) {
-    return detail::bracket_2q_avx2(lam, psi, n, m, qb, qa);
-  }
-#endif
   return bracket_2q_scalar(lam, psi, n, m, qb, qa);
 }
 
@@ -411,5 +563,73 @@ void batched_diag_each(Complex* amps, std::size_t dim, std::size_t stride,
 }
 
 #undef AQ_DISPATCH
+
+void batched_swap_rows(Complex* amps, std::size_t dim, std::size_t stride,
+                       std::size_t count, std::size_t bit_b,
+                       std::size_t bit_a, unsigned from, unsigned to) {
+  const auto bits_of = [&](unsigned sel) {
+    return ((sel & 2U) ? bit_b : 0) | ((sel & 1U) ? bit_a : 0);
+  };
+  const std::size_t bits_from = bits_of(from);
+  const std::size_t bits_to = bits_of(to);
+  // Walk the rows with every selector bit clear, inserting one zero bit
+  // per qubit as the butterfly kernels do (a 1q swap has bit_b = 0).
+  const std::size_t lo = bit_b == 0 ? bit_a : std::min(bit_a, bit_b);
+  const std::size_t hi = bit_b == 0 ? 0 : std::max(bit_a, bit_b);
+  const int q_lo = std::countr_zero(lo);
+  const int q_hi = std::countr_zero(hi);
+  const std::size_t n = 2 * count;
+  for (std::size_t g = 0; g < (hi == 0 ? dim >> 1 : dim >> 2); ++g) {
+    std::size_t base = insert_zero_bit(g, q_lo);
+    if (hi != 0) base = insert_zero_bit(base, q_hi);
+    auto* const x =
+        reinterpret_cast<double*>(amps + (base | bits_from) * stride);
+    auto* const y =
+        reinterpret_cast<double*>(amps + (base | bits_to) * stride);
+    for (std::size_t k = 0; k < n; ++k) std::swap(x[k], y[k]);
+  }
+}
+
+void batched_bracket_1q(const Complex* lam, const Complex* psi,
+                        std::size_t dim, std::size_t stride,
+                        std::size_t count, const Mat2& m, int q,
+                        Complex* out) {
+  batched_bracket_1q_run(lam, psi, dim, stride, count, &m, 0,
+                         classify(m).kind == MatShape::Kind::kDiagonal, q,
+                         out);
+}
+
+void batched_bracket_1q_each(const Complex* lam, const Complex* psi,
+                             std::size_t dim, std::size_t stride,
+                             std::size_t count, const Mat2* mats, int q,
+                             Complex* out) {
+  batched_bracket_each(count, mats,
+                       [&](std::size_t b, std::size_t n, bool diag) {
+                         batched_bracket_1q_run(lam + b, psi + b, dim, stride,
+                                                n, mats + b, 1, diag, q,
+                                                out + b);
+                       });
+}
+
+void batched_bracket_2q(const Complex* lam, const Complex* psi,
+                        std::size_t dim, std::size_t stride,
+                        std::size_t count, const Mat4& m, int qb, int qa,
+                        Complex* out) {
+  batched_bracket_2q_run(lam, psi, dim, stride, count, &m, 0,
+                         classify(m).kind == MatShape::Kind::kDiagonal, qb,
+                         qa, out);
+}
+
+void batched_bracket_2q_each(const Complex* lam, const Complex* psi,
+                             std::size_t dim, std::size_t stride,
+                             std::size_t count, const Mat4* mats, int qb,
+                             int qa, Complex* out) {
+  batched_bracket_each(count, mats,
+                       [&](std::size_t b, std::size_t n, bool diag) {
+                         batched_bracket_2q_run(lam + b, psi + b, dim, stride,
+                                                n, mats + b, 1, diag, qb, qa,
+                                                out + b);
+                       });
+}
 
 }  // namespace arbiterq::sim::kernels

@@ -32,14 +32,11 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <array>
 
 namespace arbiterq::sim::kernels::detail {
 
 namespace {
-
-inline bool is_zero(const Complex& c) noexcept {
-  return c.real() == 0.0 && c.imag() == 0.0;
-}
 
 inline __m256d bc(double v) noexcept { return _mm256_set1_pd(v); }
 
@@ -95,23 +92,6 @@ inline __m256d cmulc(const Complex& c, __m256d v) noexcept {
 /// [a[k] dup | b[k] dup]: per-lane scalars for two-sample kernels.
 inline __m256d dup2(const double* a, const double* b) noexcept {
   return _mm256_set_m128d(_mm_loaddup_pd(b), _mm_loaddup_pd(a));
-}
-
-/// conj(l) * v per complex lane (fast-arm bracket reductions only).
-inline __m256d cconjmul(__m256d l, __m256d v) noexcept {
-  const __m256d lr = _mm256_movedup_pd(l);
-  const __m256d li = _mm256_permute_pd(l, 0xF);
-  const __m256d t = _mm256_mul_pd(li, _mm256_permute_pd(v, 0x5));
-  return _mm256_fmsubadd_pd(lr, v, t);
-}
-
-/// Fold a vector accumulator's two complex lanes into one value.
-inline Complex hsum(__m256d acc) noexcept {
-  const __m128d s = _mm_add_pd(_mm256_castpd256_pd128(acc),
-                               _mm256_extractf128_pd(acc, 1));
-  alignas(16) double out[2];
-  _mm_store_pd(out, s);
-  return Complex{out[0], out[1]};
 }
 
 /// row[0..count) *= d, two amplitudes per vector.
@@ -376,260 +356,6 @@ void diag4_range_avx2(Complex* amps, const Complex* d, std::size_t bit_b,
 }
 
 // ---------------------------------------------------------------------------
-// Fast-arm bracket reductions. Lane accumulators hold two partial
-// complex sums that are folded once at the end, so the summation
-// association differs from the scalar bracket — these run only when
-// strict reproducibility is off (ULP bounds tested in test_kernels).
-
-Complex bracket_1q_avx2(const Complex* lam, const Complex* psi, std::size_t n,
-                        const Mat2& m, int q) {
-  const std::size_t bit = std::size_t{1} << q;
-  const double* lp = reinterpret_cast<const double*>(lam);
-  const double* pp = reinterpret_cast<const double*>(psi);
-  __m256d acc = _mm256_setzero_pd();
-  Complex tail{0.0, 0.0};
-  if (is_zero(m[1]) && is_zero(m[2])) {
-    const Complex d0 = m[0], d1 = m[3];
-    if (bit == 1) {
-      const __m256d dr =
-          _mm256_setr_pd(d0.real(), d0.real(), d1.real(), d1.real());
-      const __m256d di =
-          _mm256_setr_pd(d0.imag(), d0.imag(), d1.imag(), d1.imag());
-      std::size_t i = 0;
-      for (; i + 2 <= n; i += 2) {
-        const __m256d mu = cmul<true>(dr, di, _mm256_loadu_pd(pp + 2 * i));
-        acc = _mm256_add_pd(acc, cconjmul(_mm256_loadu_pd(lp + 2 * i), mu));
-      }
-      for (; i < n; ++i) tail += std::conj(lam[i]) * (psi[i] * d0);
-      return hsum(acc) + tail;
-    }
-    std::size_t i = 0;
-    while (i < n) {
-      const Complex dv = (i & bit) ? d1 : d0;
-      const __m256d dr = bc(dv.real());
-      const __m256d di = bc(dv.imag());
-      const std::size_t run_end = std::min(n, (i | (bit - 1)) + 1);
-      for (; i + 2 <= run_end; i += 2) {
-        const __m256d mu = cmul<true>(dr, di, _mm256_loadu_pd(pp + 2 * i));
-        acc = _mm256_add_pd(acc, cconjmul(_mm256_loadu_pd(lp + 2 * i), mu));
-      }
-      for (; i < run_end; ++i) tail += std::conj(lam[i]) * (psi[i] * dv);
-    }
-    return hsum(acc) + tail;
-  }
-  const std::size_t n_groups = n >> 1;
-  if (bit == 1) {
-    // Lanes hold one group's (i0, i1); both arms need both inputs, so
-    // pair each lane with its 128-bit-swapped sibling.
-    const __m256d mar = _mm256_setr_pd(m[0].real(), m[0].real(), m[3].real(),
-                                       m[3].real());
-    const __m256d mai = _mm256_setr_pd(m[0].imag(), m[0].imag(), m[3].imag(),
-                                       m[3].imag());
-    const __m256d mbr = _mm256_setr_pd(m[1].real(), m[1].real(), m[2].real(),
-                                       m[2].real());
-    const __m256d mbi = _mm256_setr_pd(m[1].imag(), m[1].imag(), m[2].imag(),
-                                       m[2].imag());
-    for (std::size_t p = 0; p < n_groups; ++p) {
-      const __m256d v = _mm256_loadu_pd(pp + 4 * p);
-      const __m256d vs = _mm256_permute2f128_pd(v, v, 0x01);
-      const __m256d mu = _mm256_add_pd(cmul<true>(mar, mai, v),
-                                       cmul<true>(mbr, mbi, vs));
-      acc = _mm256_add_pd(acc, cconjmul(_mm256_loadu_pd(lp + 4 * p), mu));
-    }
-    return hsum(acc);
-  }
-  std::size_t p = 0;
-  while (p < n_groups) {
-    if (p + 1 < n_groups && (p & (bit - 1)) != bit - 1) {
-      const std::size_t i0 = insert_zero_bit(p, q);
-      const std::size_t i1 = i0 | bit;
-      const __m256d v0 = _mm256_loadu_pd(pp + 2 * i0);
-      const __m256d v1 = _mm256_loadu_pd(pp + 2 * i1);
-      const __m256d mu0 =
-          _mm256_add_pd(cmulc<true>(m[0], v0), cmulc<true>(m[1], v1));
-      const __m256d mu1 =
-          _mm256_add_pd(cmulc<true>(m[2], v0), cmulc<true>(m[3], v1));
-      acc = _mm256_add_pd(acc, cconjmul(_mm256_loadu_pd(lp + 2 * i0), mu0));
-      acc = _mm256_add_pd(acc, cconjmul(_mm256_loadu_pd(lp + 2 * i1), mu1));
-      p += 2;
-    } else {
-      const std::size_t i0 = insert_zero_bit(p, q);
-      const std::size_t i1 = i0 | bit;
-      tail += std::conj(lam[i0]) * (m[0] * psi[i0] + m[1] * psi[i1]);
-      tail += std::conj(lam[i1]) * (m[2] * psi[i0] + m[3] * psi[i1]);
-      ++p;
-    }
-  }
-  return hsum(acc) + tail;
-}
-
-Complex bracket_2q_avx2(const Complex* lam, const Complex* psi, std::size_t n,
-                        const Mat4& m, int qb, int qa) {
-  const std::size_t bit_b = std::size_t{1} << qb;
-  const std::size_t bit_a = std::size_t{1} << qa;
-  bool diagonal = true;
-  for (int r = 0; r < 4 && diagonal; ++r) {
-    for (int c = 0; c < 4; ++c) {
-      if (r != c && !is_zero(m[static_cast<std::size_t>(4 * r + c)])) {
-        diagonal = false;
-        break;
-      }
-    }
-  }
-  const double* lp = reinterpret_cast<const double*>(lam);
-  const double* pp = reinterpret_cast<const double*>(psi);
-  __m256d acc = _mm256_setzero_pd();
-  Complex tail{0.0, 0.0};
-  if (diagonal) {
-    const Complex d[4] = {m[0], m[5], m[10], m[15]};
-    // Reuse the diag4 run decomposition, accumulating instead of
-    // scaling.
-    const std::size_t bit_min = bit_a < bit_b ? bit_a : bit_b;
-    const std::size_t bit_max = bit_a < bit_b ? bit_b : bit_a;
-    auto sel_of = [&](std::size_t i) {
-      return ((i & bit_b) ? 2U : 0U) | ((i & bit_a) ? 1U : 0U);
-    };
-    std::size_t i = 0;
-    if (bit_min >= 2) {
-      while (i < n) {
-        const Complex dv = d[sel_of(i)];
-        const __m256d dr = bc(dv.real());
-        const __m256d di = bc(dv.imag());
-        const std::size_t run_end = std::min(n, (i | (bit_min - 1)) + 1);
-        for (; i + 2 <= run_end; i += 2) {
-          const __m256d mu = cmul<true>(dr, di, _mm256_loadu_pd(pp + 2 * i));
-          acc = _mm256_add_pd(acc, cconjmul(_mm256_loadu_pd(lp + 2 * i), mu));
-        }
-        for (; i < run_end; ++i) tail += std::conj(lam[i]) * (psi[i] * dv);
-      }
-      return hsum(acc) + tail;
-    }
-    const unsigned low_contrib = bit_a == 1 ? 1U : 2U;
-    while (i < n) {
-      const unsigned s0 = sel_of(i);
-      const Complex e0 = d[s0];
-      const Complex e1 = d[s0 | low_contrib];
-      const __m256d dr =
-          _mm256_setr_pd(e0.real(), e0.real(), e1.real(), e1.real());
-      const __m256d di =
-          _mm256_setr_pd(e0.imag(), e0.imag(), e1.imag(), e1.imag());
-      const std::size_t run_end = std::min(n, (i | (bit_max - 1)) + 1);
-      for (; i + 2 <= run_end; i += 2) {
-        const __m256d mu = cmul<true>(dr, di, _mm256_loadu_pd(pp + 2 * i));
-        acc = _mm256_add_pd(acc, cconjmul(_mm256_loadu_pd(lp + 2 * i), mu));
-      }
-      for (; i < run_end; ++i) tail += std::conj(lam[i]) * (psi[i] * d[sel_of(i)]);
-    }
-    return hsum(acc) + tail;
-  }
-  // General: walk butterfly groups (two per vector when contiguous),
-  // computing all four row brackets per group.
-  const int q_lo = qb < qa ? qb : qa;
-  const int q_hi = qb < qa ? qa : qb;
-  const std::size_t low_lo = (std::size_t{1} << q_lo) - 1;
-  const std::size_t low_hi = (std::size_t{1} << q_hi) - 1;
-  const std::size_t n_groups = n >> 2;
-  auto row4 = [&](const Complex* r, __m256d a00, __m256d a01, __m256d a10,
-                  __m256d a11) {
-    __m256d s = cmulc<true>(r[0], a00);
-    s = _mm256_add_pd(s, cmulc<true>(r[1], a01));
-    s = _mm256_add_pd(s, cmulc<true>(r[2], a10));
-    s = _mm256_add_pd(s, cmulc<true>(r[3], a11));
-    return s;
-  };
-  auto scalar_group = [&](std::size_t g) {
-    const std::size_t i00 = insert_zero_bit(insert_zero_bit(g, q_lo), q_hi);
-    const std::size_t idx[4] = {i00, i00 | bit_a, i00 | bit_b,
-                                i00 | bit_b | bit_a};
-    const Complex a00 = psi[idx[0]];
-    const Complex a01 = psi[idx[1]];
-    const Complex a10 = psi[idx[2]];
-    const Complex a11 = psi[idx[3]];
-    for (unsigned r = 0; r < 4; ++r) {
-      const Complex* row = &m[static_cast<std::size_t>(4 * r)];
-      tail += std::conj(lam[idx[r]]) *
-              (row[0] * a00 + row[1] * a01 + row[2] * a10 + row[3] * a11);
-    }
-  };
-  std::size_t g = 0;
-  if (q_lo >= 1) {
-    while (g < n_groups) {
-      const std::size_t j = insert_zero_bit(g, q_lo);
-      if (g + 1 < n_groups && (g & low_lo) != low_lo &&
-          (j & low_hi) != low_hi) {
-        const std::size_t i00 = insert_zero_bit(j, q_hi);
-        const std::size_t i01 = i00 | bit_a;
-        const std::size_t i10 = i00 | bit_b;
-        const std::size_t i11 = i00 | bit_b | bit_a;
-        const __m256d a00 = _mm256_loadu_pd(pp + 2 * i00);
-        const __m256d a01 = _mm256_loadu_pd(pp + 2 * i01);
-        const __m256d a10 = _mm256_loadu_pd(pp + 2 * i10);
-        const __m256d a11 = _mm256_loadu_pd(pp + 2 * i11);
-        acc = _mm256_add_pd(acc, cconjmul(_mm256_loadu_pd(lp + 2 * i00),
-                                          row4(&m[0], a00, a01, a10, a11)));
-        acc = _mm256_add_pd(acc, cconjmul(_mm256_loadu_pd(lp + 2 * i01),
-                                          row4(&m[4], a00, a01, a10, a11)));
-        acc = _mm256_add_pd(acc, cconjmul(_mm256_loadu_pd(lp + 2 * i10),
-                                          row4(&m[8], a00, a01, a10, a11)));
-        acc = _mm256_add_pd(acc, cconjmul(_mm256_loadu_pd(lp + 2 * i11),
-                                          row4(&m[12], a00, a01, a10, a11)));
-        g += 2;
-      } else {
-        scalar_group(g);
-        ++g;
-      }
-    }
-    return hsum(acc) + tail;
-  }
-  const std::size_t bit_hi = std::size_t{1} << q_hi;
-  while (g < n_groups) {
-    const std::size_t j = insert_zero_bit(g, 0);
-    if (g + 1 < n_groups && (j & low_hi) != low_hi - 1) {
-      const std::size_t i00 = insert_zero_bit(j, q_hi);
-      const double* p_lo = pp + 2 * i00;
-      const double* p_hi = pp + 2 * (i00 | bit_hi);
-      const double* l_lo = lp + 2 * i00;
-      const double* l_hi = lp + 2 * (i00 | bit_hi);
-      const __m256d va = _mm256_loadu_pd(p_lo);
-      const __m256d vb = _mm256_loadu_pd(p_lo + 4);
-      const __m256d vc = _mm256_loadu_pd(p_hi);
-      const __m256d vd = _mm256_loadu_pd(p_hi + 4);
-      const __m256d w0 = _mm256_permute2f128_pd(va, vb, 0x20);
-      const __m256d w1 = _mm256_permute2f128_pd(va, vb, 0x31);
-      const __m256d y0 = _mm256_permute2f128_pd(vc, vd, 0x20);
-      const __m256d y1 = _mm256_permute2f128_pd(vc, vd, 0x31);
-      const __m256d a00 = w0;
-      const __m256d a01 = bit_a == 1 ? w1 : y0;
-      const __m256d a10 = bit_a == 1 ? y0 : w1;
-      const __m256d a11 = y1;
-      const __m256d la = _mm256_loadu_pd(l_lo);
-      const __m256d lb = _mm256_loadu_pd(l_lo + 4);
-      const __m256d lc = _mm256_loadu_pd(l_hi);
-      const __m256d ld = _mm256_loadu_pd(l_hi + 4);
-      const __m256d lw0 = _mm256_permute2f128_pd(la, lb, 0x20);
-      const __m256d lw1 = _mm256_permute2f128_pd(la, lb, 0x31);
-      const __m256d ly0 = _mm256_permute2f128_pd(lc, ld, 0x20);
-      const __m256d ly1 = _mm256_permute2f128_pd(lc, ld, 0x31);
-      const __m256d l00 = lw0;
-      const __m256d l01 = bit_a == 1 ? lw1 : ly0;
-      const __m256d l10 = bit_a == 1 ? ly0 : lw1;
-      const __m256d l11 = ly1;
-      acc = _mm256_add_pd(acc, cconjmul(l00, row4(&m[0], a00, a01, a10, a11)));
-      acc = _mm256_add_pd(acc, cconjmul(l01, row4(&m[4], a00, a01, a10, a11)));
-      acc =
-          _mm256_add_pd(acc, cconjmul(l10, row4(&m[8], a00, a01, a10, a11)));
-      acc =
-          _mm256_add_pd(acc, cconjmul(l11, row4(&m[12], a00, a01, a10, a11)));
-      g += 2;
-    } else {
-      scalar_group(g);
-      ++g;
-    }
-  }
-  return hsum(acc) + tail;
-}
-
-// ---------------------------------------------------------------------------
 // Sample-batched register kernels: within a row the columns are
 // contiguous, so every butterfly group is a straight loop over column
 // pairs. An odd trailing column of a broadcast butterfly packs the
@@ -870,6 +596,235 @@ void batched_diag_each_avx2(Complex* amps, std::size_t dim,
 // ---------------------------------------------------------------------------
 // Explicit instantiations: Fma = false is the strict (bit-identical)
 // arm, Fma = true the fast arm.
+
+// ---------------------------------------------------------------------------
+// Batched brackets (both AVX2 arms): two columns per vector, rows in
+// basis order, each column's sum accumulated exactly as the scalar
+// bracket does — two-rounding products (no FMA even in the fast arm)
+// and the same left-to-right sums — so every column stays bitwise the
+// scalar bracket. Up to four column pairs keep their accumulators in
+// registers for the whole row walk; an odd trailing column runs the
+// csmul tail.
+
+namespace {
+
+/// conj(l) * v per complex lane: (lr*vr - (-li)*vi, lr*vi + (-li)*vr),
+/// std::complex's operation sequence on the conjugated operand. The
+/// first product is pinned so it cannot fuse into the addsub.
+inline __m256d cconjmul_strict(__m256d l, __m256d v) noexcept {
+  const __m256d lr = _mm256_movedup_pd(l);
+  const __m256d li = _mm256_permute_pd(l, 0xF);
+  __m256d pr = _mm256_mul_pd(lr, v);
+  asm("" : "+x"(pr));
+  const __m256d t = _mm256_mul_pd(li, _mm256_permute_pd(v, 0x5));
+  return _mm256_addsub_pd(pr, _mm256_xor_pd(t, _mm256_set1_pd(-0.0)));
+}
+
+inline __m256d load_col(const Complex* row, std::size_t b) noexcept {
+  return _mm256_loadu_pd(reinterpret_cast<const double*>(row + b));
+}
+
+/// The bracket matrices as vector lanes: one matrix splatted once
+/// (broadcast), or column b's and b + 1's entries paired per use.
+template <typename Mat, bool kEach>
+class MatLanes {
+ public:
+  static constexpr std::size_t kEntries = std::tuple_size_v<Mat>;
+
+  explicit MatLanes(const Mat* mats) : mats_(mats) {
+    if constexpr (!kEach) {
+      for (std::size_t k = 0; k < kEntries; ++k) {
+        re_[k] = bc(mats[0][k].real());
+        im_[k] = bc(mats[0][k].imag());
+      }
+    }
+  }
+
+  /// Entry k of columns (b, b + 1) times the two-column vector v.
+  __m256d mul(std::size_t k, std::size_t b, __m256d v) const noexcept {
+    if constexpr (kEach) {
+      const auto* x = reinterpret_cast<const double*>(mats_[b].data() + k);
+      const auto* y =
+          reinterpret_cast<const double*>(mats_[b + 1].data() + k);
+      return cmul<false>(dup2(x, y), dup2(x + 1, y + 1), v);
+    } else {
+      return cmul<false>(re_[k], im_[k], v);
+    }
+  }
+  const Complex& at(std::size_t b, std::size_t k) const noexcept {
+    return mats_[kEach ? b : 0][k];
+  }
+
+ private:
+  const Mat* mats_;
+  __m256d re_[kEach ? 1 : kEntries]{};
+  __m256d im_[kEach ? 1 : kEntries]{};
+};
+
+/// Columns [b0, b0 + 2 * NP): accumulators in registers across rows.
+template <int NP, typename MuPair>
+void bracket_block(const Complex* lam, std::size_t dim, std::size_t stride,
+                   std::size_t b0, Complex* out, const MuPair& mu_pair) {
+  __m256d acc[NP];
+  for (int v = 0; v < NP; ++v) acc[v] = _mm256_setzero_pd();
+  for (std::size_t i = 0; i < dim; ++i) {
+    const Complex* const l = lam + i * stride;
+    for (int v = 0; v < NP; ++v) {
+      const std::size_t b = b0 + 2 * static_cast<std::size_t>(v);
+      acc[v] = _mm256_add_pd(acc[v],
+                             cconjmul_strict(load_col(l, b), mu_pair(i, b)));
+    }
+  }
+  auto* const o = reinterpret_cast<double*>(out + b0);
+  for (int v = 0; v < NP; ++v) _mm256_storeu_pd(o + 4 * v, acc[v]);
+}
+
+/// out[b] = sum over rows i of conj(lam[i][b]) * mu(i, b). mu_pair
+/// yields the vector for columns (b, b + 1), mu_one the scalar (csmul)
+/// value for the odd trailing column.
+template <typename MuPair, typename MuOne>
+void bracket_columns(const Complex* lam, std::size_t dim, std::size_t stride,
+                     std::size_t count, Complex* out, const MuPair& mu_pair,
+                     const MuOne& mu_one) {
+  std::size_t b = 0;
+  for (; b + 8 <= count; b += 8) {
+    bracket_block<4>(lam, dim, stride, b, out, mu_pair);
+  }
+  switch ((count - b) / 2) {
+    case 3:
+      bracket_block<3>(lam, dim, stride, b, out, mu_pair);
+      b += 6;
+      break;
+    case 2:
+      bracket_block<2>(lam, dim, stride, b, out, mu_pair);
+      b += 4;
+      break;
+    case 1:
+      bracket_block<1>(lam, dim, stride, b, out, mu_pair);
+      b += 2;
+      break;
+    default:
+      break;
+  }
+  if (b < count) {
+    Complex acc{0.0, 0.0};
+    for (std::size_t i = 0; i < dim; ++i) {
+      acc += csmul(std::conj(lam[i * stride + b]), mu_one(i, b));
+    }
+    out[b] = acc;
+  }
+}
+
+template <bool kEach>
+void bracket_1q_lanes(const Complex* lam, const Complex* psi, std::size_t dim,
+                      std::size_t stride, std::size_t count,
+                      const Mat2* mats, bool diagonal, int q, Complex* out) {
+  const MatLanes<Mat2, kEach> m(mats);
+  const std::size_t bit = std::size_t{1} << q;
+  if (diagonal) {
+    bracket_columns(
+        lam, dim, stride, count, out,
+        [&](std::size_t i, std::size_t b) {
+          return m.mul((i & bit) ? 3 : 0, b, load_col(psi + i * stride, b));
+        },
+        [&](std::size_t i, std::size_t b) {
+          return csmul(psi[i * stride + b], m.at(b, (i & bit) ? 3 : 0));
+        });
+    return;
+  }
+  // Row i mixes the pair (i0, i1) with the matrix row its q bit selects.
+  bracket_columns(
+      lam, dim, stride, count, out,
+      [&](std::size_t i, std::size_t b) {
+        const std::size_t e = (i & bit) ? 2 : 0;
+        return _mm256_add_pd(
+            m.mul(e, b, load_col(psi + (i & ~bit) * stride, b)),
+            m.mul(e + 1, b, load_col(psi + (i | bit) * stride, b)));
+      },
+      [&](std::size_t i, std::size_t b) {
+        const std::size_t e = (i & bit) ? 2 : 0;
+        return csmul(m.at(b, e), psi[(i & ~bit) * stride + b]) +
+               csmul(m.at(b, e + 1), psi[(i | bit) * stride + b]);
+      });
+}
+
+template <bool kEach>
+void bracket_2q_lanes(const Complex* lam, const Complex* psi, std::size_t dim,
+                      std::size_t stride, std::size_t count,
+                      const Mat4* mats, bool diagonal, int qb, int qa,
+                      Complex* out) {
+  const MatLanes<Mat4, kEach> m(mats);
+  const std::size_t bit_b = std::size_t{1} << qb;
+  const std::size_t bit_a = std::size_t{1} << qa;
+  const std::size_t mask = bit_b | bit_a;
+  const auto sel = [=](std::size_t i) {
+    return ((i & bit_b) ? std::size_t{2} : 0) | ((i & bit_a) ? 1 : 0);
+  };
+  if (diagonal) {
+    bracket_columns(
+        lam, dim, stride, count, out,
+        [&](std::size_t i, std::size_t b) {
+          return m.mul(5 * sel(i), b, load_col(psi + i * stride, b));
+        },
+        [&](std::size_t i, std::size_t b) {
+          return csmul(psi[i * stride + b], m.at(b, 5 * sel(i)));
+        });
+    return;
+  }
+  bracket_columns(
+      lam, dim, stride, count, out,
+      [&](std::size_t i, std::size_t b) {
+        const std::size_t e = 4 * sel(i);
+        const std::size_t base = i & ~mask;
+        const auto mul = [&](std::size_t k, std::size_t row) {
+          return m.mul(e + k, b, load_col(psi + row * stride, b));
+        };
+        return _mm256_add_pd(
+            _mm256_add_pd(_mm256_add_pd(mul(0, base), mul(1, base | bit_a)),
+                          mul(2, base | bit_b)),
+            mul(3, base | bit_b | bit_a));
+      },
+      [&](std::size_t i, std::size_t b) {
+        const std::size_t e = 4 * sel(i);
+        const std::size_t base = i & ~mask;
+        const Complex row[4] = {m.at(b, e), m.at(b, e + 1), m.at(b, e + 2),
+                                m.at(b, e + 3)};
+        return csrow4(row, psi[base * stride + b],
+                      psi[(base | bit_a) * stride + b],
+                      psi[(base | bit_b) * stride + b],
+                      psi[(base | bit_b | bit_a) * stride + b]);
+      });
+}
+
+}  // namespace
+
+void batched_bracket_1q_run_avx2(const Complex* lam, const Complex* psi,
+                                 std::size_t dim, std::size_t stride,
+                                 std::size_t count, const Mat2* mats,
+                                 std::size_t step, bool diagonal, int q,
+                                 Complex* out) {
+  if (step == 0) {
+    bracket_1q_lanes<false>(lam, psi, dim, stride, count, mats, diagonal, q,
+                            out);
+  } else {
+    bracket_1q_lanes<true>(lam, psi, dim, stride, count, mats, diagonal, q,
+                           out);
+  }
+}
+
+void batched_bracket_2q_run_avx2(const Complex* lam, const Complex* psi,
+                                 std::size_t dim, std::size_t stride,
+                                 std::size_t count, const Mat4* mats,
+                                 std::size_t step, bool diagonal, int qb,
+                                 int qa, Complex* out) {
+  if (step == 0) {
+    bracket_2q_lanes<false>(lam, psi, dim, stride, count, mats, diagonal, qb,
+                            qa, out);
+  } else {
+    bracket_2q_lanes<true>(lam, psi, dim, stride, count, mats, diagonal, qb,
+                           qa, out);
+  }
+}
 
 template void mat2_range_avx2<false>(Complex*, const Mat2&, int, std::size_t,
                                      std::size_t);

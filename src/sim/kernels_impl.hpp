@@ -70,13 +70,6 @@ template <bool Fma>
 void diag4_range_avx2(Complex* amps, const Complex* d, std::size_t bit_b,
                       std::size_t bit_a, std::size_t lo, std::size_t hi);
 
-/// Fast-arm only: lane accumulators reassociate the reduction, so the
-/// strict arm never calls these (it takes the scalar bracket instead).
-Complex bracket_1q_avx2(const Complex* lam, const Complex* psi, std::size_t n,
-                        const Mat2& m, int q);
-Complex bracket_2q_avx2(const Complex* lam, const Complex* psi, std::size_t n,
-                        const Mat4& m, int qb, int qa);
-
 template <bool Fma>
 void batched_mat2_avx2(Complex* amps, std::size_t dim, std::size_t stride,
                        std::size_t count, const Mat2& m, int q);
@@ -100,6 +93,20 @@ void batched_diag_each_avx2(Complex* amps, std::size_t dim,
                             std::size_t stride, std::size_t count,
                             const Complex* ds, std::size_t bit_b,
                             std::size_t bit_a);
+
+/// Batched brackets for both AVX2 arms (strict arithmetic in each):
+/// column b reads mats[b * step]; `diagonal` picks the arm every
+/// column's matrix takes (callers split runs, see kernels.cpp).
+void batched_bracket_1q_run_avx2(const Complex* lam, const Complex* psi,
+                                 std::size_t dim, std::size_t stride,
+                                 std::size_t count, const Mat2* mats,
+                                 std::size_t step, bool diagonal, int q,
+                                 Complex* out);
+void batched_bracket_2q_run_avx2(const Complex* lam, const Complex* psi,
+                                 std::size_t dim, std::size_t stride,
+                                 std::size_t count, const Mat4* mats,
+                                 std::size_t step, bool diagonal, int qb,
+                                 int qa, Complex* out);
 
 #endif  // ARBITERQ_SIMD_AVX2
 

@@ -18,10 +18,6 @@ namespace {
 /// bandwidth beats dispatch and the stride loop runs inline.
 constexpr std::size_t kKernelGrain = std::size_t{1} << 12;
 
-inline bool is_zero(const Complex& c) noexcept {
-  return c.real() == 0.0 && c.imag() == 0.0;
-}
-
 }  // namespace
 
 template <typename Body>
@@ -48,11 +44,6 @@ void Statevector::reset() {
   amps_[0] = 1.0;
 }
 
-void Statevector::load_strided(const Complex* src, std::size_t stride) {
-  const std::size_t n = amps_.size();
-  for (std::size_t i = 0; i < n; ++i) amps_[i] = src[i * stride];
-}
-
 void Statevector::apply_mat2(const circuit::Mat2& m, int q) {
   AQ_COUNTER_ADD("sim.apply.gate1q", 1);
   const std::size_t bit = std::size_t{1} << q;
@@ -60,7 +51,10 @@ void Statevector::apply_mat2(const circuit::Mat2& m, int q) {
   Complex* const amps = amps_.data();
   // Diagonal fast path (RZ/S/Z...): pure per-amplitude phases, no
   // butterfly — these dominate basis-gate streams after transpilation.
-  if (is_zero(m[1]) && is_zero(m[2])) {
+  // A transposition (X) stays on the dense butterfly: this register is
+  // the dense reference the batched register's row swaps are checked
+  // against.
+  if (kernels::classify(m).kind == kernels::MatShape::Kind::kDiagonal) {
     const Complex d0 = m[0];
     const Complex d1 = m[3];
     dispatch(n, [=](std::size_t lo, std::size_t hi) {
@@ -79,18 +73,10 @@ void Statevector::apply_mat4(const circuit::Mat4& m, int qb, int qa) {
   const std::size_t bit_a = std::size_t{1} << qa;
   const std::size_t n = amps_.size();
   Complex* const amps = amps_.data();
-  bool diagonal = true;
-  for (int r = 0; r < 4 && diagonal; ++r) {
-    for (int c = 0; c < 4; ++c) {
-      if (r != c && !is_zero(m[static_cast<std::size_t>(4 * r + c)])) {
-        diagonal = false;
-        break;
-      }
-    }
-  }
   // Diagonal fast path (CZ/CRZ/CPhase): one multiply per amplitude,
   // selected by the two qubit bits — no butterfly gathering at all.
-  if (diagonal) {
+  // CX and SWAP stay dense, as in apply_mat2.
+  if (kernels::classify(m).kind == kernels::MatShape::Kind::kDiagonal) {
     const Complex d[4] = {m[0], m[5], m[10], m[15]};
     dispatch(n, [=](std::size_t lo, std::size_t hi) {
       kernels::apply_diag4_range(amps, d, bit_b, bit_a, lo, hi);

@@ -1,12 +1,13 @@
 // Sample-batched forward equivalence: BatchedStatevector column
 // evolution vs the unbatched plan path (bitwise under the default
 // strict-reproducibility arm, for batch sizes 1 / 2 / odd / wider than
-// kBatchBlock), the plan-based trajectory sampler (bitwise agreement
+// kBatchBlock), the batched adjoint vs the circuit walk, readout-qubit
+// validation, the plan-based trajectory sampler (bitwise agreement
 // with the block oracle in tests/sampler_oracle.hpp, same-seed
 // determinism, noiseless bitwise agreement with the circuit-walking
 // sampler, statistical agreement under noise, no buffer growth on a
 // warm workspace), and executor-level equivalence with the circuit-walk
-// oracle (tests/executor_oracle.hpp).
+// oracle (tests/executor_oracle.hpp), a routed 10-qubit QPU included.
 
 #include "arbiterq/sim/batched.hpp"
 
@@ -14,6 +15,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -26,6 +28,7 @@
 #include "arbiterq/qnn/model.hpp"
 #include "arbiterq/sim/adjoint.hpp"
 #include "arbiterq/sim/exec_plan.hpp"
+#include "arbiterq/sim/kernels.hpp"
 #include "arbiterq/sim/simulator.hpp"
 #include "executor_oracle.hpp"
 #include "sampler_oracle.hpp"
@@ -160,15 +163,15 @@ TEST_P(BatchedPlan, ColumnsInvariantAcrossBatchSizes) {
   }
 }
 
-TEST_P(BatchedPlan, AdjointGradientMatchesUnbatchedBitwise) {
-  // The batched adjoint's forward walk runs the whole block as one
-  // mini-GEMM sweep; each column's gradient must still carry the exact
-  // bits of the per-sample plan adjoint.
+TEST_P(BatchedPlan, AdjointGradientMatchesCircuitWalkBitwise) {
+  // Both halves of the batched adjoint run over the whole block (CX and
+  // SWAP as row swaps, brackets with columns as lanes); each column's
+  // gradient must still equal the dense circuit walk's.
   const Circuit c = full_gate_circuit();
+  const NoiseModel noise = rich_noise(3);
   const StatevectorSimulator sim = make_sim();
   const ExecPlan plan = sim.make_plan(c);
   const auto np = static_cast<std::size_t>(c.num_params());
-  Workspace ws;
   BatchedWorkspace bws;
   math::Rng rng(23);
   for (const std::size_t batch :
@@ -180,7 +183,8 @@ TEST_P(BatchedPlan, AdjointGradientMatchesUnbatchedBitwise) {
                                  grads.data());
       for (std::size_t b = 0; b < batch; ++b) {
         const std::span<const double> col(params.data() + b * np, np);
-        const auto ref = adjoint_gradient_z(plan, col, 1, ws);
+        const auto ref =
+            adjoint_gradient_z(c, col, 1, GetParam() ? &noise : nullptr);
         for (std::size_t j = 0; j < np; ++j) {
           EXPECT_EQ(grads[b * np + j], ref[j])
               << "batch " << batch << " col " << b << " param " << j;
@@ -194,6 +198,39 @@ INSTANTIATE_TEST_SUITE_P(NoiseOnOff, BatchedPlan, ::testing::Values(false, true)
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "noisy" : "ideal";
                          });
+
+TEST(BatchedPlanInput, ReadoutQubitOutsideRegisterThrows) {
+  // Every batched entry point that takes a readout qubit rejects one
+  // outside [0, num_qubits) before touching the register or the RNG.
+  const Circuit c = full_gate_circuit();
+  const StatevectorSimulator sim(rich_noise(3));
+  const ExecPlan plan = sim.make_plan(c);
+  const auto np = static_cast<std::size_t>(c.num_params());
+  const std::vector<double> params(2 * np, 0.25);
+  std::vector<double> out(2 * np);
+  BatchedWorkspace ws;
+  ShotOptions opts;
+  opts.shots = 8;
+  opts.trajectories = 4;
+  for (const int q : {-1, -64, 3, 64, std::numeric_limits<int>::min(),
+                      std::numeric_limits<int>::max()}) {
+    SCOPED_TRACE(::testing::Message() << "qubit " << q);
+    EXPECT_THROW(plan.expectation_z_batched(params.data(), np, 2, q, ws,
+                                            out.data()),
+                 std::invalid_argument);
+    EXPECT_THROW(adjoint_gradient_z_batched(plan, params.data(), np, 2, q, ws,
+                                            out.data()),
+                 std::invalid_argument);
+    math::Rng rng(3);
+    const math::Rng untouched = rng;
+    EXPECT_THROW(sim.sample_marginal_ones(plan, params, q, opts, rng, ws),
+                 std::invalid_argument);
+    EXPECT_EQ(rng.uniform(), math::Rng(untouched).uniform());
+  }
+  // The last qubit is still a valid readout.
+  plan.expectation_z_batched(params.data(), np, 2, 2, ws, out.data());
+  adjoint_gradient_z_batched(plan, params.data(), np, 2, 2, ws, out.data());
+}
 
 TEST(BatchedStatevectorTest, ConfigureResetsAllColumns) {
   BatchedStatevector st;
@@ -507,6 +544,41 @@ TEST_F(BatchedExecutor, LossAndGradientMatchOracleBitwise) {
           << "mitigate=" << mitigate << " threads=" << t;
     }
   }
+}
+
+TEST(BatchedExecutorRouted, LossAndGradientMatchOracleOnRoutedQpu) {
+  // A routed 10-qubit QPU: the transpiled gate table is dominated by CX
+  // (applied as row swaps in the batched forward and both adjoint
+  // halves), against the dense per-sample circuit walk, on both arms.
+  const qnn::QnnModel model(qnn::Backbone::kCRz, 10, 2);
+  const qnn::QnnExecutor ex(model, device::table3_fleet_subset(10, 10)[0]);
+  ASSERT_GT(ex.plan()->permutation_gate_count(), 0U);
+  const oracle::ExecutorOracle walk(ex);
+  math::Rng rng(37);
+  std::vector<std::vector<double>> features(40, std::vector<double>(10));
+  std::vector<int> labels;
+  for (auto& row : features) {
+    for (double& v : row) v = rng.uniform(0.0, 1.0);
+    labels.push_back(static_cast<int>(labels.size() % 2));
+  }
+  std::vector<double> weights(static_cast<std::size_t>(model.num_weights()));
+  for (double& w : weights) w = rng.uniform(-1.5, 1.5);
+  const double loss = walk.dataset_loss(qnn::LossKind::kMse, features,
+                                        labels, weights);
+  const auto grad =
+      walk.loss_gradient(qnn::LossKind::kMse, features, labels, weights);
+  const bool simd_was = sim::kernels::simd_runtime_enabled();
+  for (const bool simd : {false, true}) {
+    sim::kernels::set_simd_runtime_enabled(simd);
+    EXPECT_EQ(ex.dataset_loss(qnn::LossKind::kMse, features, labels, weights),
+              loss)
+        << "simd=" << simd;
+    EXPECT_EQ(ex.loss_gradient(qnn::LossKind::kMse, features, labels,
+                               weights),
+              grad)
+        << "simd=" << simd;
+  }
+  sim::kernels::set_simd_runtime_enabled(simd_was);
 }
 
 TEST_F(BatchedExecutor, RecalibratedPlanSamplerMatchesBlockOracle) {

@@ -1,10 +1,10 @@
 // Compiled execution plans: bit-identity against the naive per-call
-// path across the full gate set (noise on/off), plan-based adjoint vs
-// the circuit-walking adjoint, executor outputs vs the circuit-walk
-// oracle (tests/executor_oracle.hpp), plan invalidation on recalibrate
-// and copy-then-recalibrate, marginal sampling, and the
-// zero-allocation steady-state contract (checked with a counting global
-// operator new).
+// path across the full gate set (noise on/off), the batched plan
+// adjoint (batch 1 and 4) vs the circuit-walking adjoint, executor
+// outputs vs the circuit-walk oracle (tests/executor_oracle.hpp), plan
+// invalidation on recalibrate and copy-then-recalibrate, marginal
+// sampling, and the zero-allocation steady-state contract (checked with
+// a counting global operator new).
 
 #include "arbiterq/sim/exec_plan.hpp"
 
@@ -24,6 +24,7 @@
 #include "arbiterq/qnn/executor.hpp"
 #include "arbiterq/qnn/model.hpp"
 #include "arbiterq/sim/adjoint.hpp"
+#include "arbiterq/sim/batched.hpp"
 #include "arbiterq/sim/simulator.hpp"
 #include "executor_oracle.hpp"
 
@@ -136,6 +137,45 @@ std::vector<double> some_params(int np, math::Rng& rng) {
   return p;
 }
 
+/// One batched adjoint call over `batch` parameter sets drawn fresh
+/// from `rng` (sample b's params and gradient at [b * num_params, ...)).
+struct BatchedGrads {
+  std::vector<double> params;
+  std::vector<double> grads;
+};
+
+BatchedGrads batched_adjoint(const ExecPlan& plan, std::size_t batch,
+                             int qubit, math::Rng& rng, BatchedWorkspace& ws) {
+  const auto np = static_cast<std::size_t>(plan.num_params());
+  BatchedGrads out;
+  for (std::size_t b = 0; b < batch; ++b) {
+    const auto p = some_params(plan.num_params(), rng);
+    out.params.insert(out.params.end(), p.begin(), p.end());
+  }
+  out.grads.assign(batch * np, 0.0);
+  adjoint_gradient_z_batched(plan, out.params.data(), np, batch, qubit, ws,
+                             out.grads.data());
+  return out;
+}
+
+void expect_columns_match_walk(const Circuit& c, const ExecPlan& plan,
+                               const BatchedGrads& got, int qubit,
+                               const NoiseModel* noise) {
+  const auto np = static_cast<std::size_t>(plan.num_params());
+  const std::size_t batch = got.grads.size() / np;
+  for (std::size_t b = 0; b < batch; ++b) {
+    const std::vector<double> col(got.params.begin() + b * np,
+                                  got.params.begin() + (b + 1) * np);
+    const auto naive = adjoint_gradient_z(c, col, qubit, noise);
+    ASSERT_EQ(naive.size(), np);
+    for (std::size_t i = 0; i < np; ++i) {
+      EXPECT_EQ(got.grads[b * np + i], naive[i])
+          << "batch " << batch << " col " << b << " qubit " << qubit
+          << " param " << i;
+    }
+  }
+}
+
 void expect_plan_matches_naive(const StatevectorSimulator& sim,
                                const Circuit& c,
                                const std::vector<double>& params) {
@@ -204,6 +244,9 @@ TEST(ExecPlan, CachesCircuitConstantsAndFusionStats) {
   // The circuit has both fusable static material and live parameters.
   EXPECT_GT(plan.fused_gate_count(), 0U);
   EXPECT_GT(plan.bound_slot_count(), 0U);
+  // x(1), cx(0, 1) and swap(0, 2) are exact transpositions; the static
+  // CZ, S, H, I and the constant rotations are not.
+  EXPECT_EQ(plan.permutation_gate_count(), 3U);
   EXPECT_LT(plan.stream_op_count(), c.size());
 
   const ExecPlan ideal = StatevectorSimulator().make_plan(c);
@@ -217,7 +260,13 @@ TEST(ExecPlan, ParamsTooShortThrows) {
   Workspace ws;
   const std::vector<double> short_params(2, 0.0);
   EXPECT_THROW(plan.run(short_params, ws), std::invalid_argument);
-  EXPECT_THROW(adjoint_gradient_z(plan, short_params, 0, ws),
+  // The batched adjoint reads each column's params at stride
+  // short_params.size() < num_params.
+  BatchedWorkspace bws;
+  std::vector<double> grads(static_cast<std::size_t>(c.num_params()));
+  EXPECT_THROW(adjoint_gradient_z_batched(plan, short_params.data(),
+                                          short_params.size(), 1, 0, bws,
+                                          grads.data()),
                std::invalid_argument);
 }
 
@@ -225,38 +274,34 @@ TEST(ExecPlanAdjoint, MatchesNaiveAdjointBitIdentical) {
   const Circuit c = full_gate_circuit();
   const NoiseModel noise = rich_noise(3);
   math::Rng rng(21);
-  const auto params = some_params(c.num_params(), rng);
-  Workspace ws;
+  BatchedWorkspace ws;
   for (const NoiseModel* np : {static_cast<const NoiseModel*>(nullptr),
                                &noise}) {
     const StatevectorSimulator sim(np != nullptr ? *np : NoiseModel{});
     const ExecPlan plan = sim.make_plan(c);
     for (int qubit = 0; qubit < c.num_qubits(); ++qubit) {
-      const auto naive = adjoint_gradient_z(c, params, qubit, np);
-      const auto planned = adjoint_gradient_z(plan, params, qubit, ws);
-      ASSERT_EQ(planned.size(), naive.size());
-      for (std::size_t i = 0; i < naive.size(); ++i) {
-        EXPECT_EQ(planned[i], naive[i])
-            << (np != nullptr ? "noisy" : "ideal") << " qubit " << qubit
-            << " param " << i;
+      for (const std::size_t batch : {std::size_t{1}, std::size_t{4}}) {
+        SCOPED_TRACE(np != nullptr ? "noisy" : "ideal");
+        expect_columns_match_walk(c, plan,
+                                  batched_adjoint(plan, batch, qubit, rng, ws),
+                                  qubit, np);
       }
     }
   }
 }
 
 TEST(ExecPlanAdjoint, RandomCircuitsMatchNaive) {
-  Workspace ws;
+  BatchedWorkspace ws;
   for (std::uint64_t seed = 31; seed <= 34; ++seed) {
     math::Rng rng(seed);
     const Circuit c = random_circuit(3, 5, rng, 25);
-    const auto params = some_params(c.num_params(), rng);
     const NoiseModel noise = rich_noise(3);
     const ExecPlan plan = StatevectorSimulator(noise).make_plan(c);
-    const auto naive = adjoint_gradient_z(c, params, 0, &noise);
-    const auto planned = adjoint_gradient_z(plan, params, 0, ws);
-    ASSERT_EQ(planned.size(), naive.size());
-    for (std::size_t i = 0; i < naive.size(); ++i) {
-      EXPECT_EQ(planned[i], naive[i]) << "seed " << seed << " param " << i;
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed);
+      expect_columns_match_walk(c, plan,
+                                batched_adjoint(plan, batch, 0, rng, ws), 0,
+                                &noise);
     }
   }
 }
@@ -463,18 +508,29 @@ TEST(ExecPlanWorkspace, SteadyStateAdjointIsAllocationFree) {
   const Circuit c = full_gate_circuit();
   const StatevectorSimulator sim(rich_noise(3));
   const ExecPlan plan = sim.make_plan(c);
-  Workspace ws;
-  std::vector<double> params(static_cast<std::size_t>(c.num_params()), 0.3);
-  std::vector<double> grad(static_cast<std::size_t>(c.num_params()), 0.0);
-  for (int i = 0; i < 3; ++i) adjoint_gradient_z(plan, params, 0, ws, grad);
+  const auto np = static_cast<std::size_t>(c.num_params());
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{4}}) {
+    BatchedWorkspace ws;
+    std::vector<double> params(batch * np, 0.3);
+    std::vector<double> grads(batch * np, 0.0);
+    const auto call = [&](int i) {
+      // Column b's param 1 differs from every other column's, so gate
+      // entries that read it take the per-column kernels.
+      for (std::size_t b = 0; b < batch; ++b) {
+        params[b * np + 1] = 0.05 * static_cast<double>(i + 7 * b);
+      }
+      adjoint_gradient_z_batched(plan, params.data(), np, batch, 0, ws,
+                                 grads.data());
+    };
+    for (int i = 0; i < 3; ++i) call(i);
 
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  for (int i = 0; i < 32; ++i) {
-    params[1] = 0.05 * static_cast<double>(i);
-    adjoint_gradient_z(plan, params, 0, ws, grad);
+    const std::uint64_t before =
+        g_allocations.load(std::memory_order_relaxed);
+    for (int i = 3; i < 35; ++i) call(i);
+    const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(after, before)
+        << "steady-state adjoint evaluations allocated, batch " << batch;
   }
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
-  EXPECT_EQ(after, before) << "steady-state adjoint evaluations allocated";
 }
 
 TEST(WorkspacePoolTest, RecyclesWorkspacesAndCopiesStartFresh) {

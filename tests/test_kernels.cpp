@@ -1,11 +1,14 @@
 // Randomized kernel-equivalence suite for the CPU-dispatch layer
 // (sim/kernels.hpp): every SIMD arm against the scalar reference, over
 // the full gate set (including noise-biased angles and fully random
-// matrices), adjoint brackets, 1..8-qubit registers, partial dispatch
-// ranges, and the sample-batched register kernels at live widths 1..33
-// inside rows of equal or greater stride. Under strict reproducibility
+// matrices), adjoint brackets (scalar in every arm), 1..8-qubit
+// registers, partial dispatch ranges, and the sample-batched register
+// kernels at live widths 1..33 inside rows of equal or greater stride. Under strict reproducibility
 // (the default) the comparison is bitwise; with strict relaxed the FMA
-// arm is held to a tight ULP-scale bound.
+// arm is held to a tight ULP-scale bound. The matrix classifier, the
+// row-swap arm (against the dense kernels on registers that hold exact
+// signed zeros) and the batched brackets (against the scalar bracket per
+// column) are checked in both modes.
 
 #include "arbiterq/sim/kernels.hpp"
 
@@ -14,11 +17,15 @@
 #include <cmath>
 #include <complex>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "arbiterq/circuit/unitary.hpp"
 #include "arbiterq/math/rng.hpp"
+#include "arbiterq/sim/batched.hpp"
 #include "arbiterq/sim/statevector.hpp"
 
 namespace arbiterq::sim {
@@ -251,10 +258,9 @@ TEST_P(KernelEquivalence, PartialRangesExerciseHeadsAndTails) {
 }
 
 TEST_P(KernelEquivalence, BracketsMatchScalarReference) {
+  // The unbatched brackets back the circuit-walk oracle and keep the
+  // scalar reduction in every arm and mode.
   math::Rng rng(106);
-  // The FMA bracket reassociates an n-term reduction into vector lanes;
-  // the bound scales with the register, hence the looser tolerance.
-  const double tol = 1e-10;
   for (int nq = 1; nq <= 8; ++nq) {
     const AmpVector lam = random_state(nq, rng);
     const AmpVector psi = random_state(nq, rng);
@@ -264,13 +270,9 @@ TEST_P(KernelEquivalence, BracketsMatchScalarReference) {
         const Complex ref =
             kernels::bracket_1q(lam.data(), psi.data(), psi.size(), m, q);
         kernels::set_simd_runtime_enabled(true);
-        const Complex got =
-            kernels::bracket_1q(lam.data(), psi.data(), psi.size(), m, q);
-        if (strict()) {
-          EXPECT_EQ(got, ref);
-        } else {
-          EXPECT_NEAR(std::abs(got - ref), 0.0, tol);
-        }
+        EXPECT_EQ(kernels::bracket_1q(lam.data(), psi.data(), psi.size(), m,
+                                      q),
+                  ref);
       }
     }
     if (nq < 2) continue;
@@ -282,13 +284,9 @@ TEST_P(KernelEquivalence, BracketsMatchScalarReference) {
           const Complex ref = kernels::bracket_2q(lam.data(), psi.data(),
                                                   psi.size(), m, qb, qa);
           kernels::set_simd_runtime_enabled(true);
-          const Complex got = kernels::bracket_2q(lam.data(), psi.data(),
-                                                  psi.size(), m, qb, qa);
-          if (strict()) {
-            EXPECT_EQ(got, ref);
-          } else {
-            EXPECT_NEAR(std::abs(got - ref), 0.0, tol);
-          }
+          EXPECT_EQ(kernels::bracket_2q(lam.data(), psi.data(), psi.size(),
+                                        m, qb, qa),
+                    ref);
         }
       }
     }
@@ -430,6 +428,334 @@ TEST_P(KernelEquivalence, BatchedRegisterKernelsMatchPerColumnScalar) {
           }
         }
         kernels::set_simd_runtime_enabled(true);
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Matrix classifier and the transposition (row-swap) arm
+
+using Shape = kernels::MatShape;
+
+Shape transposition(unsigned from, unsigned to) {
+  return {Shape::Kind::kTransposition, static_cast<std::uint8_t>(from),
+          static_cast<std::uint8_t>(to)};
+}
+
+/// CX with the roles of the two qubits exchanged: control on the qa
+/// (low) bit, so rows 01 and 11 trade places.
+Mat4 cx_reversed() {
+  Mat4 m{};
+  m[4 * 0 + 0] = m[4 * 2 + 2] = 1.0;  // rows 00 and 10 fixed
+  m[4 * 1 + 3] = m[4 * 3 + 1] = 1.0;
+  return m;
+}
+
+TEST(MatrixClassifier, GateSetShapes) {
+  const std::array<double, 3> a{{0.7, -0.3, 1.1}};
+  const auto m1 = [&](GateKind k) { return circuit::gate_matrix_1q(k, a); };
+  const auto m2 = [&](GateKind k) { return circuit::gate_matrix_2q(k, a); };
+  const Shape diag{Shape::Kind::kDiagonal, 0, 0};
+  const Shape dense{};
+  for (GateKind k : {GateKind::kI, GateKind::kZ, GateKind::kS,
+                     GateKind::kSdg, GateKind::kRZ}) {
+    EXPECT_EQ(kernels::classify(m1(k)), diag) << static_cast<int>(k);
+  }
+  for (GateKind k : {GateKind::kY, GateKind::kH, GateKind::kSX, GateKind::kRX,
+                     GateKind::kRY, GateKind::kU3}) {
+    EXPECT_EQ(kernels::classify(m1(k)), dense) << static_cast<int>(k);
+  }
+  EXPECT_EQ(kernels::classify(m1(GateKind::kX)), transposition(0, 1));
+  EXPECT_EQ(kernels::classify(m2(GateKind::kCZ)), diag);
+  EXPECT_EQ(kernels::classify(m2(GateKind::kCRZ)), diag);
+  EXPECT_EQ(kernels::classify(m2(GateKind::kCRX)), dense);
+  EXPECT_EQ(kernels::classify(m2(GateKind::kCRY)), dense);
+  EXPECT_EQ(kernels::classify(m2(GateKind::kCX)), transposition(2, 3));
+  EXPECT_EQ(kernels::classify(m2(GateKind::kSwap)), transposition(1, 2));
+  EXPECT_EQ(kernels::classify(cx_reversed()), transposition(1, 3));
+
+  // Near misses take the dense path: one entry a ulp off 1, a -1, a
+  // tiny imaginary part, a 3-cycle, two disjoint transpositions, and a
+  // 0/1 matrix that is not a permutation.
+  const double one_up = std::nextafter(1.0, 2.0);
+  std::vector<Mat4> near4;
+  for (const Complex v : {Complex{one_up, 0.0}, Complex{-1.0, 0.0},
+                          Complex{1.0, 1e-300}}) {
+    Mat4 m = m2(GateKind::kCX);
+    m[4 * 2 + 3] = v;
+    near4.push_back(m);
+  }
+  Mat4 cycle{};
+  cycle[4 * 0 + 0] = cycle[4 * 1 + 2] = cycle[4 * 2 + 3] = cycle[4 * 3 + 1] =
+      1.0;
+  near4.push_back(cycle);
+  Mat4 xx{};
+  xx[4 * 0 + 3] = xx[4 * 3 + 0] = xx[4 * 1 + 2] = xx[4 * 2 + 1] = 1.0;
+  near4.push_back(xx);
+  Mat4 twice = m2(GateKind::kCX);
+  twice[4 * 2 + 3] = 0.0;
+  twice[4 * 2 + 2] = 1.0;  // rows 10 and 11 both read column 10
+  near4.push_back(twice);
+  for (std::size_t i = 0; i < near4.size(); ++i) {
+    EXPECT_EQ(kernels::classify(near4[i]), dense) << "near miss " << i;
+  }
+  Mat2 x_up = m1(GateKind::kX);
+  x_up[1] = one_up;
+  EXPECT_EQ(kernels::classify(x_up), dense);
+  Mat2 x_neg = m1(GateKind::kX);
+  x_neg[2] = -1.0;
+  EXPECT_EQ(kernels::classify(x_neg), dense);
+  // Signed zeros are zeros: -0 off the diagonal keeps a matrix diagonal
+  // and a -0 imaginary part keeps an entry exactly one.
+  Mat2 z = m1(GateKind::kZ);
+  z[1] = Complex{-0.0, -0.0};
+  EXPECT_EQ(kernels::classify(z), diag);
+  Mat2 x = m1(GateKind::kX);
+  x[1] = Complex{1.0, -0.0};
+  EXPECT_EQ(kernels::classify(x), transposition(0, 1));
+}
+
+/// A random amplitude with exact +0 / -0 components about half the time.
+Complex signed_zero_amp(math::Rng& rng) {
+  const auto part = [&rng] {
+    const double u = rng.uniform();
+    if (u < 0.25) return 0.0;
+    if (u < 0.5) return -0.0;
+    return rng.uniform(-1.0, 1.0);
+  };
+  const double re = part();
+  return {re, part()};
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+/// `got` (the swap arm) against `want` (the dense kernel): == on every
+/// entry, identical bits on every nonzero component.
+void expect_swap_matches_dense(const AmpVector& got, const AmpVector& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << "amp " << i;
+    const double g[2] = {got[i].real(), got[i].imag()};
+    const double w[2] = {want[i].real(), want[i].imag()};
+    for (int k = 0; k < 2; ++k) {
+      if (w[k] != 0.0) {
+        EXPECT_EQ(bits_of(g[k]), bits_of(w[k])) << "amp " << i;
+      }
+    }
+  }
+}
+
+TEST_P(KernelEquivalence, SwapRowsMatchDenseOnExactTranspositions) {
+  // CX both ways round and SWAP on every ordered pair of a 4-qubit
+  // register, X on every qubit; live widths 1..33 at row stride live and
+  // live + 3; the dense reference from both arms. Columns past the live
+  // width must keep their exact bits.
+  math::Rng rng(109);
+  constexpr int kQubits = 4;
+  constexpr std::size_t kDim = std::size_t{1} << kQubits;
+  const Mat2 x = circuit::gate_matrix_1q(GateKind::kX, {});
+  const std::vector<Mat4> m4s = {circuit::gate_matrix_2q(GateKind::kCX, {}),
+                                 cx_reversed(),
+                                 circuit::gate_matrix_2q(GateKind::kSwap, {})};
+  std::size_t signed_zero_flips = 0;
+  for (std::size_t count = 1; count <= 33; ++count) {
+    for (const std::size_t stride : {count, count + 3}) {
+      AmpVector init(kDim * stride);
+      for (Complex& a : init) a = signed_zero_amp(rng);
+      struct Case {
+        std::function<void(Complex*)> swap;
+        std::function<void(Complex*)> dense;
+      };
+      std::vector<Case> cases;
+      for (int q = 0; q < kQubits; ++q) {
+        const Shape s = kernels::classify(x);
+        const std::size_t bit = std::size_t{1} << q;
+        cases.push_back(
+            {[&, s, bit](Complex* a) {
+               kernels::batched_swap_rows(a, kDim, stride, count, 0, bit,
+                                          s.from, s.to);
+             },
+             [&, q](Complex* a) {
+               kernels::batched_mat2(a, kDim, stride, count, x, q);
+             }});
+      }
+      for (int qb = 0; qb < kQubits; ++qb) {
+        for (int qa = 0; qa < kQubits; ++qa) {
+          if (qa == qb) continue;
+          for (const Mat4& m : m4s) {
+            const Shape s = kernels::classify(m);
+            const std::size_t bb = std::size_t{1} << qb;
+            const std::size_t ba = std::size_t{1} << qa;
+            cases.push_back(
+                {[&, s, bb, ba](Complex* a) {
+                   kernels::batched_swap_rows(a, kDim, stride, count, bb, ba,
+                                              s.from, s.to);
+                 },
+                 [&, qb, qa](Complex* a) {
+                   kernels::batched_mat4(a, kDim, stride, count, m, qb, qa);
+                 }});
+          }
+        }
+      }
+      for (std::size_t k = 0; k < cases.size(); ++k) {
+        SCOPED_TRACE(::testing::Message() << "count " << count << " stride "
+                                          << stride << " case " << k);
+        AmpVector got = init;
+        cases[k].swap(got.data());
+        for (const bool simd : {false, true}) {
+          kernels::set_simd_runtime_enabled(simd);
+          AmpVector want = init;
+          cases[k].dense(want.data());
+          expect_swap_matches_dense(got, want);
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            if (std::signbit(got[i].real()) != std::signbit(want[i].real()) ||
+                std::signbit(got[i].imag()) != std::signbit(want[i].imag())) {
+              ++signed_zero_flips;
+            }
+          }
+        }
+        for (std::size_t i = 0; i < kDim; ++i) {
+          for (std::size_t b = count; b < stride; ++b) {
+            const Complex& g = got[i * stride + b];
+            const Complex& w = init[i * stride + b];
+            EXPECT_EQ(bits_of(g.real()), bits_of(w.real()));
+            EXPECT_EQ(bits_of(g.imag()), bits_of(w.imag()));
+          }
+        }
+      }
+    }
+  }
+  // The registers do reach the case the == contract exists for.
+  EXPECT_GT(signed_zero_flips, 0U);
+}
+
+TEST_P(KernelEquivalence, RegisterTakesDenseArmOnNearMisses) {
+  // Through BatchedStatevector's own dispatch: a near-miss matrix must
+  // give exactly the dense kernel's bits, and an exact CX the swap's.
+  math::Rng rng(110);
+  constexpr int kQubits = 3;
+  constexpr std::size_t kDim = std::size_t{1} << kQubits;
+  constexpr std::size_t kBatch = 5;
+  Mat4 cx_up = circuit::gate_matrix_2q(GateKind::kCX, {});
+  cx_up[4 * 3 + 2] = std::nextafter(1.0, 2.0);
+  Mat4 cx_neg = circuit::gate_matrix_2q(GateKind::kCX, {});
+  cx_neg[4 * 2 + 3] = -1.0;
+  BatchedStatevector st;
+  st.configure(kQubits, kBatch);
+  for (const Mat4& m : {cx_up, cx_neg}) {
+    for (std::size_t i = 0; i < kDim; ++i) {
+      for (std::size_t b = 0; b < kBatch; ++b) {
+        st.row(i)[b] = signed_zero_amp(rng);
+      }
+    }
+    AmpVector want(st.row(0), st.row(0) + kDim * kBatch);
+    kernels::batched_mat4(want.data(), kDim, kBatch, kBatch, m, 2, 0);
+    st.apply_mat4_all(m, 2, 0);
+    for (std::size_t i = 0; i < kDim * kBatch; ++i) {
+      EXPECT_EQ(bits_of(st.row(0)[i].real()), bits_of(want[i].real()));
+      EXPECT_EQ(bits_of(st.row(0)[i].imag()), bits_of(want[i].imag()));
+    }
+  }
+  const AmpVector before(st.row(0), st.row(0) + kDim * kBatch);
+  st.apply_mat4_all(circuit::gate_matrix_2q(GateKind::kCX, {}), 2, 0);
+  for (std::size_t i = 0; i < kDim; ++i) {
+    // Control bit 2 set: rows with qubit 0 = 0 and 1 trade places.
+    const std::size_t src = (i & 4) ? i ^ 1 : i;
+    for (std::size_t b = 0; b < kBatch; ++b) {
+      EXPECT_EQ(bits_of(st.row(i)[b].real()),
+                bits_of(before[src * kBatch + b].real()));
+      EXPECT_EQ(bits_of(st.row(i)[b].imag()),
+                bits_of(before[src * kBatch + b].imag()));
+    }
+  }
+}
+
+TEST_P(KernelEquivalence, BatchedBracketsMatchPerColumnScalar) {
+  // Every batched bracket, broadcast and per column (with diagonal and
+  // dense matrices mixed across columns), at live widths 1..33 in rows
+  // of stride live and live + 3: each column equals the scalar bracket
+  // on that column alone, in every arm and mode.
+  math::Rng rng(111);
+  constexpr int kQubits = 3;
+  constexpr std::size_t kDim = std::size_t{1} << kQubits;
+  for (std::size_t count = 1; count <= 33; ++count) {
+    for (const std::size_t stride : {count, count + 3}) {
+      AmpVector lam(kDim * stride);
+      AmpVector psi(kDim * stride);
+      for (Complex& a : lam) a = signed_zero_amp(rng);
+      for (Complex& a : psi) a = signed_zero_amp(rng);
+      std::vector<Mat2> m2s;
+      std::vector<Mat4> m4s;
+      for (std::size_t b = 0; b < count; ++b) {
+        m2s.push_back(circuit::d_gate_matrix_1q(
+            (b / 3) % 2 == 0 ? GateKind::kRZ : GateKind::kRY,
+            random_angles(rng), 0));
+        m4s.push_back(circuit::d_gate_matrix_2q(
+            (b / 2) % 2 == 0 ? GateKind::kCRZ : GateKind::kCRX,
+            random_angles(rng)));
+      }
+      const auto column = [&](const AmpVector& reg, std::size_t b) {
+        AmpVector col(kDim);
+        for (std::size_t i = 0; i < kDim; ++i) col[i] = reg[i * stride + b];
+        return col;
+      };
+      std::vector<Complex> out(count);
+      for (const bool simd : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "count " << count << " stride "
+                                          << stride << " simd " << simd);
+        for (int q = 0; q < kQubits; ++q) {
+          for (const bool each : {false, true}) {
+            kernels::set_simd_runtime_enabled(simd);
+            if (each) {
+              kernels::batched_bracket_1q_each(lam.data(), psi.data(), kDim,
+                                               stride, count, m2s.data(), q,
+                                               out.data());
+            } else {
+              kernels::batched_bracket_1q(lam.data(), psi.data(), kDim,
+                                          stride, count, m2s[0], q,
+                                          out.data());
+            }
+            kernels::set_simd_runtime_enabled(false);
+            for (std::size_t b = 0; b < count; ++b) {
+              const AmpVector l = column(lam, b);
+              const AmpVector p = column(psi, b);
+              EXPECT_EQ(out[b], kernels::bracket_1q(l.data(), p.data(), kDim,
+                                                    m2s[each ? b : 0], q))
+                  << "1q q " << q << " each " << each << " col " << b;
+            }
+          }
+        }
+        for (int qb = 0; qb < kQubits; ++qb) {
+          for (int qa = 0; qa < kQubits; ++qa) {
+            if (qa == qb) continue;
+            for (const bool each : {false, true}) {
+              kernels::set_simd_runtime_enabled(simd);
+              if (each) {
+                kernels::batched_bracket_2q_each(lam.data(), psi.data(), kDim,
+                                                 stride, count, m4s.data(),
+                                                 qb, qa, out.data());
+              } else {
+                kernels::batched_bracket_2q(lam.data(), psi.data(), kDim,
+                                            stride, count, m4s[0], qb, qa,
+                                            out.data());
+              }
+              kernels::set_simd_runtime_enabled(false);
+              for (std::size_t b = 0; b < count; ++b) {
+                const AmpVector l = column(lam, b);
+                const AmpVector p = column(psi, b);
+                EXPECT_EQ(out[b],
+                          kernels::bracket_2q(l.data(), p.data(), kDim,
+                                              m4s[each ? b : 0], qb, qa))
+                    << "2q " << qb << qa << " each " << each << " col " << b;
+              }
+            }
+          }
+        }
       }
     }
   }
